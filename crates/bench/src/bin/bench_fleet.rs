@@ -27,10 +27,11 @@ use std::time::Instant;
 
 /// Minimum simulated jobs-per-hour delivered per wall second, per arm.
 ///
-/// The 1-core reference container measures ~0.8 on every arm of the
-/// 4k/50k ladder (~6 min wall per arm); the floor sits ~5× below that so
-/// slower CI hosts pass while an order-of-magnitude collapse (e.g. losing
-/// the event-driven leap over idle stretches) still trips it.
+/// The reference container measures 2.5–6.2 on the arms of the 4k/50k
+/// ladder (47–115 s wall per arm, 1 core); the floor sits an order of
+/// magnitude below the slowest arm so slower CI hosts pass while a
+/// collapse to per-tick-like cost (e.g. losing the event-driven leap over
+/// idle stretches) still trips it.
 pub const FLEET_THROUGHPUT_FLOOR: f64 = 0.15;
 
 #[derive(Serialize)]

@@ -2,7 +2,7 @@
 //! telemetry. This is the hardware surface the node-level manager
 //! (`pstack-node`) wraps and the runtimes actuate.
 
-use crate::package::{Package, PackageConfig, PackageStep};
+use crate::package::{Package, PackageConfig};
 use crate::phase::PhaseMix;
 use crate::pstate::DutyCycle;
 use crate::variation::{VariationFactors, VariationModel};
@@ -187,13 +187,12 @@ impl Node {
 
     /// Instantaneous node power for `mix` with `active_cores` busy, watts.
     pub fn power_w(&self, mix: &PhaseMix, active_cores: usize) -> f64 {
-        let per_pkg = self.split_cores(active_cores);
+        let mut remaining = active_cores.min(self.cfg.total_cores());
         self.cfg.misc_power_w
             + self
                 .packages
                 .iter()
-                .zip(per_pkg)
-                .map(|(p, n)| p.power_w(mix, n))
+                .map(|p| p.power_w(mix, take_cores(&mut remaining, p)))
                 .sum::<f64>()
     }
 
@@ -204,11 +203,10 @@ impl Node {
     /// 1.0 work/s regardless of socket count: per-package rates are weighted
     /// by each package's share of the node's cores.
     pub fn work_rate(&self, mix: &PhaseMix, active_cores: usize) -> f64 {
-        let per_pkg = self.split_cores(active_cores);
+        let mut remaining = active_cores.min(self.cfg.total_cores());
         self.packages
             .iter()
-            .zip(per_pkg)
-            .map(|(p, n)| p.work_rate(mix, n))
+            .map(|p| p.work_rate(mix, take_cores(&mut remaining, p)))
             .sum::<f64>()
             / self.cfg.n_packages as f64
     }
@@ -256,19 +254,6 @@ impl Node {
         sum / self.packages.len() as f64
     }
 
-    fn split_cores(&self, active_cores: usize) -> Vec<usize> {
-        // Fill packages in order; a 30-core job on 2×24 gets 24 + 6.
-        let mut remaining = active_cores.min(self.cfg.total_cores());
-        self.packages
-            .iter()
-            .map(|p| {
-                let n = remaining.min(p.config().n_cores);
-                remaining -= n;
-                n
-            })
-            .collect()
-    }
-
     /// Advance the node by `dt` running `mix` on `active_cores`.
     pub fn step(
         &mut self,
@@ -277,28 +262,96 @@ impl Node {
         mix: &PhaseMix,
         active_cores: usize,
     ) -> StepOutput {
-        let per_pkg = self.split_cores(active_cores);
+        self.step_checked(now, dt, mix, active_cores).0
+    }
+
+    /// Advance the node `n` consecutive steps of `dt` from `from`, all
+    /// running `mix` on `active_cores`, calling `on_step(start, &output)`
+    /// after each. Bit for bit the same as `n` calls to [`Node::step`].
+    ///
+    /// Without a power cap, a step depends only on each package's
+    /// temperature bits and throttle latch. Once one step leaves all of
+    /// them unchanged the node sits at a fixed point: every later step
+    /// computes the same increments, so the remaining steps re-apply them,
+    /// in the same order per accumulator, without rerunning the physics. A
+    /// capped node or one that never settles bitwise takes plain steps.
+    /// Returns how many steps were fast-forwarded.
+    pub fn step_for(
+        &mut self,
+        from: SimTime,
+        dt: SimDuration,
+        n: u64,
+        mix: &PhaseMix,
+        active_cores: usize,
+        mut on_step: impl FnMut(SimTime, &StepOutput),
+    ) -> u64 {
+        let mut t = from;
+        for done in 1..=n {
+            let (out, settled) = self.step_checked(t, dt, mix, active_cores);
+            on_step(t, &out);
+            t += dt;
+            if settled && done < n {
+                let rest = n - done;
+                let mut remaining = active_cores.min(self.cfg.total_cores());
+                for p in &mut self.packages {
+                    let cores = take_cores(&mut remaining, p);
+                    p.repeat_settled(dt, mix, cores, rest);
+                }
+                let energy_j = out.power_w * dt.as_secs_f64();
+                for _ in 0..rest {
+                    self.energy_j += energy_j;
+                    on_step(t, &out);
+                    t += dt;
+                }
+                return rest;
+            }
+        }
+        0
+    }
+
+    /// [`Node::step`], also reporting whether every package settled (see
+    /// [`Node::step_for`]).
+    fn step_checked(
+        &mut self,
+        now: SimTime,
+        dt: SimDuration,
+        mix: &PhaseMix,
+        active_cores: usize,
+    ) -> (StepOutput, bool) {
+        let mut remaining = active_cores.min(self.cfg.total_cores());
         let mut work = 0.0;
         let mut power = self.cfg.misc_power_w;
         let mut freq = 0.0;
         let mut throttled = false;
-        for (p, n) in self.packages.iter_mut().zip(per_pkg) {
-            let s: PackageStep = p.step(now, dt, mix, n);
+        let mut settled = true;
+        for p in &mut self.packages {
+            let cores = take_cores(&mut remaining, p);
+            let (s, still) = p.step_checked(now, dt, mix, cores);
             work += s.work;
             power += s.power_w;
             freq += s.effective_freq_ghz;
             throttled |= s.throttled;
+            settled &= still;
         }
         self.energy_j += power * dt.as_secs_f64();
-        StepOutput {
+        let out = StepOutput {
             // Same normalization as `work_rate`: 1.0/s for a fully busy node
             // at the reference configuration.
             work: work / self.cfg.n_packages as f64,
             power_w: power,
             effective_freq_ghz: freq / self.packages.len() as f64,
             throttled,
-        }
+        };
+        (out, settled)
     }
+}
+
+/// Take package `p`'s share of the `remaining` active cores. Packages fill
+/// in order: a 30-core job on 2×24 gets 24 + 6.
+fn take_cores(remaining: &mut usize, p: &Package) -> usize {
+    let n = (*remaining).min(p.config().n_cores);
+    *remaining -= n;
+    n
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@ use crate::pstate::{DutyCycle, FreqLadder, PStateTable};
 use crate::thermal::ThermalModel;
 use crate::variation::VariationFactors;
 use pstack_sim::{SimDuration, SimTime};
-use pstack_telemetry::{CounterBank, CounterKind};
+use pstack_telemetry::counters::ALL_COUNTERS;
+use pstack_telemetry::CounterBank;
 use serde::{Deserialize, Serialize};
 
 /// Static configuration of a package.
@@ -221,6 +222,11 @@ impl Package {
             self.uncore_ghz(),
             self.duty,
         );
+        self.power_at(mix, active, idx, speed)
+    }
+
+    /// Power drawn at effective P-state `idx` and relative `speed`.
+    fn power_at(&self, mix: &PhaseMix, active: usize, idx: usize, speed: f64) -> f64 {
         let core_dyn =
             self.cfg
                 .power
@@ -243,73 +249,124 @@ impl Package {
         mix: &PhaseMix,
         active_cores: usize,
     ) -> PackageStep {
+        self.step_checked(now, dt, mix, active_cores).0
+    }
+
+    /// [`Package::step`], also reporting whether the package is *settled*:
+    /// the step left its temperature bits and throttle latch unchanged and
+    /// no cap is active. A settled package's next step of the same `dt`,
+    /// `mix` and `active_cores` computes the same increments again.
+    pub(crate) fn step_checked(
+        &mut self,
+        now: SimTime,
+        dt: SimDuration,
+        mix: &PhaseMix,
+        active_cores: usize,
+    ) -> (PackageStep, bool) {
+        let inc = self.increments(dt, mix, active_cores);
+        let settled = self.advance(now, dt, inc.power_w);
+        self.apply(&inc, 1);
+        let step = PackageStep {
+            work: inc.work,
+            power_w: inc.power_w,
+            effective_freq_ghz: inc.freq_ghz,
+            throttled: self.thermal.is_throttling(),
+        };
+        (step, settled)
+    }
+
+    /// Apply `n` more steps of a settled package (see
+    /// [`Package::step_checked`]). Its state no longer changes, so every
+    /// step adds the increments computed from it now.
+    pub(crate) fn repeat_settled(
+        &mut self,
+        dt: SimDuration,
+        mix: &PhaseMix,
+        active_cores: usize,
+        n: u64,
+    ) {
+        let inc = self.increments(dt, mix, active_cores);
+        self.apply(&inc, n);
+    }
+
+    /// What a step of `dt` running `mix` on `active_cores` adds to the
+    /// package's accumulators, computed from the state at its start.
+    fn increments(&self, dt: SimDuration, mix: &PhaseMix, active_cores: usize) -> StepIncrements {
         let active = active_cores.min(self.cfg.n_cores);
         let idx = self.effective_pstate();
         let f = self.cfg.pstates.freq(idx);
-        let u = self.uncore_ghz();
-        let speed = self.cfg.speed.speed(mix, f, u, self.duty);
-        let power_w = self.power_w(mix, active);
+        let speed = self.cfg.speed.speed(mix, f, self.uncore_ghz(), self.duty);
+        let power_w = self.power_at(mix, active, idx, speed);
         let dt_s = dt.as_secs_f64();
+        let dt_us = dt.as_micros() as f64;
+        // Work is scaled by active-core share so that a half-busy package
+        // does half the work of a full one.
+        let share = active as f64 / self.cfg.n_cores as f64;
+        let work = speed * dt_s * share;
+        StepIncrements {
+            work,
+            power_w,
+            freq_ghz: f,
+            energy_j: power_w * dt_s,
+            counters: [
+                // Instructions, Cycles, Flops, MemBytes.
+                work * mix.blend(PhaseKind::instructions_per_work),
+                f * 1e9 * dt_s * self.duty.fraction() * share,
+                work * mix.blend(PhaseKind::flops_per_work),
+                work * mix.blend(PhaseKind::mem_intensity) * 1e9,
+                // MpiTimeUs, MpiWaitUs, IoTimeUs, Progress.
+                mix.weight(PhaseKind::CommBound) * dt_us,
+                0.8 * mix.weight(PhaseKind::CommBound) * dt_us,
+                mix.weight(PhaseKind::IoBound) * dt_us,
+                work,
+            ],
+        }
+    }
 
-        // Energy + thermal integration over the step.
-        self.energy_j += power_w * dt_s;
-        self.thermal.advance(power_w, dt_s);
-
-        // RAPL bookkeeping + one control action per step.
+    /// Integrate thermals and run the RAPL controller over a step that
+    /// draws `power_w`. Returns whether the package is settled (see
+    /// [`Package::step_checked`]); a cap never settles, because its window
+    /// records every step.
+    fn advance(&mut self, now: SimTime, dt: SimDuration, power_w: f64) -> bool {
+        let thermal_bits = |th: &ThermalModel| (th.temperature_c().to_bits(), th.is_throttling());
+        let before = thermal_bits(&self.thermal);
+        self.thermal.advance(power_w, dt.as_secs_f64());
         let top = self.cfg.pstates.top_idx();
         if let Some((cap, win)) = &mut self.cap {
             win.record(now, power_w);
             let end = now + dt;
             let avg = win.average_w(end);
             cap.control(avg, top);
+            return false;
         }
-
-        // Counter updates. Work is scaled by active-core share so that a
-        // half-busy package does half the work of a full one.
-        let share = active as f64 / self.cfg.n_cores as f64;
-        let work = speed * dt_s * share;
-        self.counters.add(
-            CounterKind::Instructions,
-            work * mix.blend(PhaseKind::instructions_per_work),
-        );
-        self.counters.add(
-            CounterKind::Cycles,
-            f * 1e9 * dt_s * self.duty.fraction() * share,
-        );
-        self.counters.add(
-            CounterKind::Flops,
-            work * mix.blend(PhaseKind::flops_per_work),
-        );
-        self.counters.add(
-            CounterKind::MemBytes,
-            work * mix.blend(PhaseKind::mem_intensity) * 1e9,
-        );
-        self.counters.add(
-            CounterKind::MpiTimeUs,
-            mix.weight(PhaseKind::CommBound) * dt.as_micros() as f64,
-        );
-        self.counters.add(
-            CounterKind::MpiWaitUs,
-            0.8 * mix.weight(PhaseKind::CommBound) * dt.as_micros() as f64,
-        );
-        self.counters.add(
-            CounterKind::IoTimeUs,
-            mix.weight(PhaseKind::IoBound) * dt.as_micros() as f64,
-        );
-        self.counters.add(CounterKind::Progress, work);
-
-        PackageStep {
-            work,
-            power_w,
-            effective_freq_ghz: f,
-            throttled: self.thermal.is_throttling(),
-        }
+        before == thermal_bits(&self.thermal)
     }
+
+    /// Add one step's increments to the energy and counter accumulators
+    /// `times` times over, one addition per accumulator per step.
+    fn apply(&mut self, inc: &StepIncrements, times: u64) {
+        for _ in 0..times {
+            self.energy_j += inc.energy_j;
+        }
+        self.counters.add_all(&inc.counters, times);
+    }
+}
+
+/// What one package step adds to its accumulators.
+#[derive(Debug, Clone, Copy)]
+struct StepIncrements {
+    work: f64,
+    power_w: f64,
+    freq_ghz: f64,
+    energy_j: f64,
+    /// Counter increments in [`ALL_COUNTERS`] order.
+    counters: [f64; ALL_COUNTERS.len()],
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pstack_telemetry::CounterKind;
 
     fn pkg() -> Package {
         Package::new(PackageConfig::server_default(), VariationFactors::NOMINAL)

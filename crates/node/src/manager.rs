@@ -251,9 +251,28 @@ impl NodeManager {
 
     /// Advance the node idle (no job): minimal activity, platform power only.
     pub fn step_idle(&mut self, now: SimTime, dt: SimDuration) -> NodeStepReport {
-        let idle_mix = PhaseMix::pure(pstack_hwmodel::PhaseKind::IoBound);
-        self.step(now, dt, &idle_mix, 0)
+        self.step(now, dt, &idle_mix(), 0)
     }
+
+    /// Advance the node idle for `n` consecutive quanta of `quantum` from
+    /// `from`: bit for bit `n` calls to [`NodeManager::step_idle`], power
+    /// history included. Once an uncapped idle node's state stops changing,
+    /// the remaining quanta replay its fixed-point increments instead of
+    /// the physics (see [`Node::step_for`]). Returns how many quanta were
+    /// fast-forwarded that way.
+    pub fn step_idle_for(&mut self, from: SimTime, quantum: SimDuration, n: u64) -> u64 {
+        let (history, last_power_w) = (&mut self.power_history, &mut self.last_power_w);
+        self.node
+            .step_for(from, quantum, n, &idle_mix(), 0, |t, out| {
+                history.push(t, out.power_w);
+                *last_power_w = out.power_w;
+            })
+    }
+}
+
+/// What an idle node runs: I/O-bound background activity on no cores.
+fn idle_mix() -> PhaseMix {
+    PhaseMix::pure(pstack_hwmodel::PhaseKind::IoBound)
 }
 
 #[cfg(test)]

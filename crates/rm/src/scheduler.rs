@@ -157,8 +157,9 @@ struct RunningJob {
 
 /// An idle node plus the time its idle physics has been integrated to.
 /// The event-driven drain defers idle stepping (nobody reads an idle node
-/// mid-stretch); the deferred quanta are replayed verbatim before any
-/// observation, so the node state is bit-identical to eager stepping.
+/// mid-stretch); the deferred quanta are replayed before any observation,
+/// fast-forwarding from the node's idle fixed point once it settles, so the
+/// node state is bit-identical to eager stepping.
 struct IdleSlot {
     nm: NodeManager,
     synced_to: SimTime,
@@ -250,6 +251,8 @@ pub struct Scheduler {
     telemetry_dropouts: u64,
     /// Until when the fleet aggregation tree is dropping our samples.
     telemetry_blackout_until: SimTime,
+    /// Deferred idle quanta replayed from a settled node's fixed point.
+    idle_fast_forwarded: u64,
 }
 
 impl Scheduler {
@@ -298,6 +301,7 @@ impl Scheduler {
             stuck_cap_drops: 0,
             telemetry_dropouts: 0,
             telemetry_blackout_until: SimTime::ZERO,
+            idle_fast_forwarded: 0,
         }
     }
 
@@ -441,6 +445,12 @@ impl Scheduler {
     /// RM out-of-band cap writes dropped on stuck actuators so far.
     pub fn stuck_cap_drops(&self) -> u64 {
         self.stuck_cap_drops
+    }
+
+    /// Deferred idle quanta replayed so far from a settled node's fixed
+    /// point instead of its physics (see [`NodeManager::step_idle_for`]).
+    pub fn idle_quanta_fast_forwarded(&self) -> u64 {
+        self.idle_fast_forwarded
     }
 
     /// The event trace (job starts/ends, power decisions).
@@ -607,25 +617,32 @@ impl Scheduler {
                 .sum::<f64>()
     }
 
-    /// Replay deferred idle-node physics up to the current time. The replay
-    /// uses the same per-quantum `step_idle` calls the eager oracle makes,
-    /// so the node state after catch-up is bit-identical.
+    /// Replay deferred idle-node physics up to the current time.
     fn sync_idle_nodes(&mut self) {
         let (now, quantum) = (self.now, self.last_quantum);
         for slot in &mut self.idle {
-            Self::catch_up_idle(slot, now, quantum);
+            self.idle_fast_forwarded += Self::catch_up_idle(slot, now, quantum);
         }
     }
 
-    fn catch_up_idle(slot: &mut IdleSlot, target: SimTime, quantum: SimDuration) {
-        while slot.synced_to < target {
-            let dt = quantum.min(target.since(slot.synced_to));
-            if dt.is_zero() {
-                break;
-            }
-            slot.nm.step_idle(slot.synced_to, dt);
-            slot.synced_to += dt;
+    /// Replay one slot's deferred idle physics up to `target`: its whole
+    /// quanta through [`NodeManager::step_idle_for`], then any shorter tail
+    /// as one step, exactly the steps the eager oracle takes, so the node
+    /// state after catch-up is bit-identical. Returns the quanta
+    /// fast-forwarded from the node's idle fixed point.
+    fn catch_up_idle(slot: &mut IdleSlot, target: SimTime, quantum: SimDuration) -> u64 {
+        if slot.synced_to >= target || quantum.is_zero() {
+            return 0;
         }
+        let whole = target.since(slot.synced_to).as_micros() / quantum.as_micros();
+        let skipped = slot.nm.step_idle_for(slot.synced_to, quantum, whole);
+        slot.synced_to += quantum * whole;
+        if slot.synced_to < target {
+            slot.nm
+                .step_idle(slot.synced_to, target.since(slot.synced_to));
+            slot.synced_to = target;
+        }
+        skipped
     }
 
     fn invalidate_accounting(&self) {
@@ -943,7 +960,7 @@ impl Scheduler {
                 let (now, quantum) = (self.now, self.last_quantum);
                 let split_at = self.idle.len() - n;
                 for slot in &mut self.idle[split_at..] {
-                    Self::catch_up_idle(slot, now, quantum);
+                    self.idle_fast_forwarded += Self::catch_up_idle(slot, now, quantum);
                 }
             }
             NodeSelection::CoolestFirst => {
@@ -1304,7 +1321,7 @@ impl Scheduler {
             let mut slot = self.idle.remove(pos);
             // Bring the deferred idle physics current before the power-off:
             // the energy consumed up to the crash instant is real.
-            Self::catch_up_idle(&mut slot, now, quantum);
+            self.idle_fast_forwarded += Self::catch_up_idle(&mut slot, now, quantum);
             self.trace.record(
                 now,
                 "rm",
@@ -1489,7 +1506,7 @@ impl Scheduler {
             self.events.push(end, EventKind::Tick);
         } else {
             for slot in &mut self.idle {
-                Self::catch_up_idle(slot, self.now, quantum);
+                self.idle_fast_forwarded += Self::catch_up_idle(slot, self.now, quantum);
                 slot.nm.step_idle(self.now, quantum);
                 slot.synced_to = end;
             }
@@ -1778,6 +1795,31 @@ mod tests {
             nodes,
             SimTime::from_secs(submit_s),
         )
+    }
+
+    /// Catch-up replays the whole quanta (fast-forwarding once settled) and
+    /// then the partial tail, landing where the per-quantum loop does.
+    #[test]
+    fn catch_up_idle_replays_whole_quanta_then_the_tail() {
+        let quantum = SimDuration::from_secs(1);
+        let from = SimTime::from_secs(5);
+        let target = from + quantum * 2_500 + SimDuration::from_millis(250);
+        let nm = sched(1, SystemPowerPolicy::unlimited()).idle.remove(0).nm;
+        let mut slot = IdleSlot {
+            nm: nm.clone(),
+            synced_to: from,
+        };
+        let skipped = Scheduler::catch_up_idle(&mut slot, target, quantum);
+        let mut plain = nm;
+        let mut t = from;
+        while t < target {
+            let dt = quantum.min(target.since(t));
+            plain.step_idle(t, dt);
+            t += dt;
+        }
+        assert!(skipped > 1_000, "fast-forwarded only {skipped} quanta");
+        assert_eq!(slot.synced_to, target);
+        assert_eq!(format!("{:?}", slot.nm), format!("{plain:?}"));
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! stream, same energy accounting to the last mantissa bit, same metrics.
 //! A proptest grid sweeps (seed × quantum × arrival pattern × power policy ×
 //! budget-change script); deterministic tests pin the fig1/fig3 workload
-//! shapes with their published seeds; and a kill-at-decile test proves the
-//! event heap round-trips through `pstack-ckpt` snapshots mid-drain.
+//! shapes with their published seeds; a long-idle case pins the deferred
+//! idle replay's fixed-point fast-forward against per-tick idle stepping;
+//! and a kill-at-decile test proves the event heap round-trips through
+//! `pstack-ckpt` snapshots mid-drain.
 
 use proptest::prelude::*;
 use pstack_apps::synthetic::random_app;
@@ -15,7 +17,7 @@ use pstack_ckpt::{read_snapshot, write_snapshot, ScratchDir};
 use pstack_hwmodel::{NodeConfig, VariationModel};
 use pstack_node::NodeManager;
 use pstack_rm::policy::{PowerAssignment, SystemPowerPolicy};
-use pstack_rm::scheduler::{EmergencyResponse, JobRecord, Scheduler};
+use pstack_rm::scheduler::{EmergencyResponse, JobRecord, NodeSelection, Scheduler};
 use pstack_rm::spec::{AgentKind, JobSpec};
 use pstack_rm::EventHeap;
 use pstack_runtime::GeopmPolicy;
@@ -408,6 +410,85 @@ fn retroactive_budget_change_mid_drain_agrees_across_engines() {
         event.events().cursor() >= cursor_before,
         "retroactive pop must not regress the cursor"
     );
+}
+
+/// Idle stretches longer than the ~1,100 quanta an idle node needs to reach
+/// its fixed point: jobs arrive in pairs separated by 1,150–1,600 quanta of
+/// silence, and `CoolestFirst` selection replays the whole idle pool at
+/// every launch. Windowed `system_power_w` samples observe the pool between
+/// launches. The event engine's replay fast-forwards settled nodes; the
+/// per-tick oracle steps every idle node every tick. Records, rejections,
+/// clock, site energy and every sampled power must agree bit for bit.
+#[test]
+fn long_idle_fast_forward_matches_per_tick_oracle() {
+    for quantum_ms in [1_000u64, 3_000] {
+        let quantum = SimDuration::from_millis(quantum_ms);
+        let build = || {
+            let seeds = SeedTree::new(2024 + quantum_ms);
+            let nodes = NodeManager::fleet(
+                8,
+                NodeConfig::server_default(),
+                &VariationModel::typical(),
+                &seeds,
+            );
+            let policy = SystemPowerPolicy::budgeted(450.0 * 8.0 * 0.7, PowerAssignment::FairShare);
+            let mut sched = Scheduler::new(nodes, policy, seeds.subtree("sched"))
+                .with_node_selection(NodeSelection::CoolestFirst);
+            let mut rng = seeds.rng("long-idle-arrivals");
+            let mut t = SimTime::ZERO;
+            for i in 0..10u64 {
+                let mut app = random_app(&seeds, i);
+                app.work_per_node *= 0.02;
+                let nodes_wanted = 1usize << rng.gen_range(0..3);
+                sched.submit(JobSpec::rigid(i, Arc::new(app), nodes_wanted, t));
+                if i % 2 == 1 {
+                    t += quantum * rng.gen_range(1_150..1_600);
+                }
+            }
+            sched
+        };
+        let window = quantum * 200;
+        let horizon = SimTime::from_secs(12 * 3600);
+
+        let mut event = build();
+        let mut tick = build();
+        let (mut event_powers, mut tick_powers) = (Vec::new(), Vec::new());
+        let mut t = SimTime::ZERO;
+        while event.queued() + event.running() > 0 && t < horizon {
+            t += window;
+            event.run_until(quantum, t);
+            event_powers.push(event.system_power_w().to_bits());
+            while tick.queued() + tick.running() > 0 && tick.now() < t {
+                tick.step(quantum);
+            }
+            tick_powers.push(tick.system_power_w().to_bits());
+        }
+        event.run_until_drained(quantum, horizon);
+        tick.run_until_drained_per_tick(quantum, horizon);
+
+        let what = format!("quantum {quantum}");
+        assert_records_identical(event.records(), tick.records());
+        assert_eq!(event.records().len(), 10, "{what}: every job completes");
+        assert_eq!(event.rejected(), tick.rejected(), "{what}: rejected sets");
+        assert_eq!(event.now(), tick.now(), "{what}: final clocks");
+        assert_eq!(
+            event.system_energy_j().to_bits(),
+            tick.system_energy_j().to_bits(),
+            "{what}: site energy bits"
+        );
+        assert_eq!(event_powers, tick_powers, "{what}: sampled power bits");
+        assert!(event_powers.len() > 20, "{what}: windows observed");
+        assert!(
+            event.idle_quanta_fast_forwarded() > 8 * 1_000,
+            "{what}: the fast path barely ran ({} quanta)",
+            event.idle_quanta_fast_forwarded()
+        );
+        assert_eq!(
+            tick.idle_quanta_fast_forwarded(),
+            0,
+            "{what}: the oracle must step idle nodes plainly"
+        );
+    }
 }
 
 /// Kill-at-decile resume: drive the event engine in ten horizon slices, and

@@ -64,6 +64,16 @@ fn idx(kind: CounterKind) -> usize {
         .expect("kind present in ALL_COUNTERS")
 }
 
+/// `amount`, checked to be a valid counter increment.
+#[inline]
+fn monotone(amount: f64) -> f64 {
+    assert!(
+        amount.is_finite() && amount >= 0.0,
+        "counter increment must be finite and non-negative, got {amount}"
+    );
+    amount
+}
+
 impl CounterBank {
     /// Fresh bank with all counters at zero.
     pub fn new() -> Self {
@@ -75,11 +85,26 @@ impl CounterBank {
     /// # Panics
     /// Panics on negative or non-finite amounts — counters are monotone.
     pub fn add(&mut self, kind: CounterKind, amount: f64) {
-        assert!(
-            amount.is_finite() && amount >= 0.0,
-            "counter increment must be finite and non-negative, got {amount}"
-        );
-        self.counts[idx(kind)] += amount;
+        self.counts[idx(kind)] += monotone(amount);
+    }
+
+    /// Accumulate one amount into every counter, `amounts` in
+    /// [`ALL_COUNTERS`] order, `times` times over: bit for bit the same
+    /// additions as `times` rounds of one [`CounterBank::add`] per counter,
+    /// with the amounts checked once.
+    ///
+    /// # Panics
+    /// Panics on negative or non-finite amounts — counters are monotone.
+    #[inline]
+    pub fn add_all(&mut self, amounts: &[f64; ALL_COUNTERS.len()], times: u64) {
+        for &amount in amounts {
+            monotone(amount);
+        }
+        for _ in 0..times {
+            for (count, &amount) in self.counts.iter_mut().zip(amounts) {
+                *count += amount;
+            }
+        }
     }
 
     /// Current absolute value of `kind`.

@@ -72,6 +72,7 @@ impl TimeSeries {
     /// # Panics
     /// Panics if `time` precedes the last appended sample — series are
     /// time-ordered by construction.
+    #[inline]
     pub fn push(&mut self, time: SimTime, value: f64) {
         if let Some(last) = self.samples.last() {
             assert!(
