@@ -3,10 +3,11 @@
 //! The paper's §3.2 interaction hazards (two actors writing one knob, a cap
 //! outside what the silicon can honour, a tuner aimed at an unsatisfiable
 //! space) are all detectable *before* a single simulation tick runs. This
-//! crate is that detector: nineteen [`Lint`] rules over a [`FrameworkModel`]
-//! snapshot of everything the stack declares about itself, producing a
-//! [`Report`] of [`Diagnostic`]s with stable rule IDs, severities, and
-//! source locations.
+//! crate is that detector: the [`Lint`] rules tabled below, run over a
+//! [`FrameworkModel`] snapshot of everything the stack declares about
+//! itself, producing a [`Report`] of [`Diagnostic`]s with stable rule IDs,
+//! severities, and source locations. The table lists [`registry`] in order
+//! (a unit test holds it to that).
 //!
 //! | rule | name | enforces |
 //! |--------|------------------------|----------|
@@ -29,6 +30,8 @@
 //! | PSA017 | lock-hierarchy-coverage | declared lock hierarchy covers every pstack-sync site, acyclic + rank-consistent |
 //! | PSA018 | raw-sync-primitives    | library code uses pstack-sync wrappers, not raw std::sync primitives |
 //! | PSA019 | history-key-sanity     | shared-history shard bounds, canonical key fingerprints, no key collisions |
+//! | PSA020 | event-schedule-sanity  | event cursor monotone, same-instant events in rank order, enclave shards sum to the site budget |
+//! | PSA021 | fleet-fault-plan-sanity | fleet fault plans coherent, requeue budgets where job failures are on, control + mixed plans kept |
 //!
 //! Entry points:
 //!
@@ -133,6 +136,19 @@ mod tests {
     fn startup_gate_passes_on_shipped_config() {
         let report = startup_gate();
         assert!(!report.has_errors());
+    }
+
+    #[test]
+    fn rule_table_lists_the_registry_in_order() {
+        let documented: Vec<(&str, &str)> = include_str!("lib.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! |"))
+            .map(|row| row.split('|').map(str::trim).collect::<Vec<_>>())
+            .filter(|cells| cells[0].starts_with("PSA"))
+            .map(|cells| (cells[0], cells[1]))
+            .collect();
+        let registered: Vec<(&str, &str)> = registry().iter().map(|r| (r.id(), r.name())).collect();
+        assert_eq!(documented, registered, "crate-doc rule table vs registry()");
     }
 
     #[test]

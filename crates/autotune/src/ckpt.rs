@@ -35,7 +35,7 @@ use crate::tuner::{CacheStats, Evaluation, TuneError, Tuner};
 use pstack_ckpt::{CkptError, SessionDir, WalWriter};
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize, Value};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -108,9 +108,8 @@ pub struct SessionMeta {
 }
 
 /// One durable evaluation outcome — the unit the WAL appends *before* the
-/// search observes it. Plain drivers use only `ordinal`/`config`/
-/// `objective`/`aux`; resilient drivers also persist the retry loop's
-/// fault events so replay reconstructs the identical fault log.
+/// search observes it, including the retry loop's fault events so replay
+/// reconstructs the identical fault log.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EvalRecord {
     /// Position in the session's fresh-evaluation sequence (0-based; cache
@@ -131,7 +130,9 @@ pub struct EvalRecord {
     pub backoff_s: f64,
 }
 
-/// Resilient-loop state persisted alongside the core snapshot.
+/// The loop's fault ledger, persisted alongside the core snapshot. Every
+/// driver keeps one; a fault-free run's stays clean until an objective
+/// comes back non-finite.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ResilientSnapshot {
     /// Quarantined configurations, sorted for deterministic serialization.
@@ -147,11 +148,11 @@ pub struct ResilientSnapshot {
 }
 
 /// Full session state at a consistent point: everything needed to re-drive
-/// the search as if the run had never stopped. Serial drivers snapshot
-/// after a recorded outcome; parallel drivers only at ask-tell round
-/// boundaries (mid-round the RNG has already advanced past suggestions
-/// that are not yet recorded, so a mid-round snapshot could not resume
-/// deterministically).
+/// the search as if the run had never stopped. Snapshots are taken only at
+/// ask-tell round boundaries (mid-round the RNG has already advanced past
+/// suggestions that are not yet recorded, so a mid-round snapshot could
+/// not resume deterministically); a serial driver's rounds are one
+/// proposal long.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionSnapshot {
     /// The session's immutable metadata.
@@ -174,44 +175,9 @@ pub struct SessionSnapshot {
     pub algorithm_state: Value,
     /// Fallback algorithm state (`Null` when absent or stateless).
     pub fallback_state: Value,
-    /// Resilient-loop state (`None` for the fault-free drivers).
+    /// Fault ledger: always present for the resilient drivers; `None`
+    /// while a fault-free run's ledger is clean.
     pub resilient: Option<ResilientSnapshot>,
-}
-
-impl SessionSnapshot {
-    /// Assemble a snapshot from live loop state (sorts the cache so the
-    /// payload — and therefore the on-disk bytes — are deterministic).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn collect(
-        meta: &SessionMeta,
-        ordinal: usize,
-        db: &PerfDatabase,
-        cache: &HashMap<Config, Evaluation>,
-        stats: CacheStats,
-        rng: &SmallRng,
-        consecutive_dups: usize,
-        algorithm_state: Value,
-        fallback_state: Value,
-        resilient: Option<ResilientSnapshot>,
-    ) -> SessionSnapshot {
-        let mut rows: Vec<(Config, f64, HashMap<String, f64>)> = cache
-            .iter()
-            .map(|(c, (o, a))| (c.clone(), *o, a.clone()))
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        SessionSnapshot {
-            meta: meta.clone(),
-            ordinal,
-            db: db.clone(),
-            cache: rows,
-            stats,
-            rng: rng.state(),
-            consecutive_dups,
-            algorithm_state,
-            fallback_state,
-            resilient,
-        }
-    }
 }
 
 impl From<CkptError> for TuneError {
@@ -222,31 +188,32 @@ impl From<CkptError> for TuneError {
     }
 }
 
-/// Resilient fields of a [`RestoredState`].
-pub(crate) struct RestoredResilient {
-    pub(crate) quarantined: HashSet<Config>,
-    pub(crate) faults: FaultLog,
-    pub(crate) fresh_idx: usize,
-    pub(crate) failed_attempts: usize,
-    pub(crate) degraded: bool,
-}
-
-/// Loop state rebuilt from a snapshot, handed to the driver internals in
-/// place of a fresh start.
-pub(crate) struct RestoredState {
+/// Live state of one tuning loop: everything a [`SessionSnapshot`] holds
+/// besides the metadata and the algorithm state.
+pub(crate) struct LoopState {
     pub(crate) db: PerfDatabase,
+    /// Observations in the warm-start prior (not counted against budget).
+    pub(crate) prior_len: usize,
     pub(crate) cache: HashMap<Config, Evaluation>,
     pub(crate) stats: CacheStats,
     pub(crate) rng: SmallRng,
     pub(crate) consecutive_dups: usize,
-    pub(crate) prior_len: usize,
-    pub(crate) resilient: Option<RestoredResilient>,
+    pub(crate) ledger: ResilientSnapshot,
 }
 
-impl RestoredState {
+impl LoopState {
     fn from_snapshot(snap: &SessionSnapshot) -> Self {
-        RestoredState {
+        // A snapshot without a ledger comes from a fault-free run whose
+        // ledger was clean; its next fresh ordinal is the WAL ordinal.
+        let mut ledger = snap
+            .resilient
+            .clone()
+            .unwrap_or_else(|| ResilientSnapshot::clean(snap.ordinal));
+        ledger.quarantined.sort();
+        ledger.quarantined.dedup();
+        LoopState {
             db: snap.db.clone(),
+            prior_len: snap.meta.prior_len,
             cache: snap
                 .cache
                 .iter()
@@ -255,14 +222,7 @@ impl RestoredState {
             stats: snap.stats,
             rng: SmallRng::from_state(snap.rng),
             consecutive_dups: snap.consecutive_dups,
-            prior_len: snap.meta.prior_len,
-            resilient: snap.resilient.as_ref().map(|r| RestoredResilient {
-                quarantined: r.quarantined.iter().cloned().collect(),
-                faults: r.faults.clone(),
-                fresh_idx: r.fresh_idx,
-                failed_attempts: r.failed_attempts,
-                degraded: r.degraded,
-            }),
+            ledger,
         }
     }
 }
@@ -448,20 +408,14 @@ impl ActiveSession {
     }
 }
 
-/// Snapshot-if-due, shared by every driver: collects a [`SessionSnapshot`]
-/// from the live loop state when the session's cadence calls for one.
-/// `resilient` is a thunk so the fault-log clone only happens when due.
-#[allow(clippy::too_many_arguments)]
+/// Snapshot the loop when the session's cadence calls for one. The
+/// ledger is written whenever `resilient` is set or it is no longer clean.
 pub(crate) fn checkpoint_tick(
     session: &mut Option<ActiveSession>,
-    db: &PerfDatabase,
-    cache: &HashMap<Config, Evaluation>,
-    stats: CacheStats,
-    rng: &SmallRng,
-    consecutive_dups: usize,
+    state: &LoopState,
     algorithm: &dyn SearchAlgorithm,
     fallback: Option<&dyn SearchAlgorithm>,
-    resilient: impl FnOnce() -> Option<ResilientSnapshot>,
+    resilient: bool,
 ) -> Result<(), TuneError> {
     let Some(s) = session.as_mut() else {
         return Ok(());
@@ -469,18 +423,26 @@ pub(crate) fn checkpoint_tick(
     if !s.snapshot_due() {
         return Ok(());
     }
-    let snap = SessionSnapshot::collect(
-        s.meta(),
-        s.next_ordinal(),
-        db,
+    // Sorted cache rows make the payload, and so the on-disk bytes,
+    // deterministic.
+    let mut cache: Vec<(Config, f64, HashMap<String, f64>)> = state
+        .cache
+        .iter()
+        .map(|(c, (o, a))| (c.clone(), *o, a.clone()))
+        .collect();
+    cache.sort_by(|a, b| a.0.cmp(&b.0));
+    let snap = SessionSnapshot {
+        meta: s.meta().clone(),
+        ordinal: s.next_ordinal(),
+        db: state.db.clone(),
         cache,
-        stats,
-        rng,
-        consecutive_dups,
-        algorithm.save_state(),
-        fallback.map(|f| f.save_state()).unwrap_or(Value::Null),
-        resilient(),
-    );
+        stats: state.stats,
+        rng: state.rng.state(),
+        consecutive_dups: state.consecutive_dups,
+        algorithm_state: algorithm.save_state(),
+        fallback_state: fallback.map_or(Value::Null, |f| f.save_state()),
+        resilient: (resilient || !state.ledger.faults.is_clean()).then(|| state.ledger.clone()),
+    };
     s.write_snapshot(&snap)
 }
 
@@ -527,7 +489,7 @@ impl Tuner {
         driver: &str,
         algorithm: &mut (dyn SearchAlgorithm + '_),
         fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
-    ) -> Result<(Tuner, ActiveSession, RestoredState), TuneError> {
+    ) -> Result<(Tuner, ActiveSession, LoopState), TuneError> {
         let Some(opts) = &self.checkpoint else {
             return Err(TuneError::Checkpoint {
                 detail: "no checkpoint directory configured; call Tuner::checkpoint(dir) before \
@@ -589,9 +551,14 @@ impl Tuner {
                     detail: format!("fallback state: {e}"),
                 })?;
         }
-        let restored = RestoredState::from_snapshot(&snap);
+        if meta.robustness.is_some() && snap.resilient.is_none() {
+            return Err(TuneError::Checkpoint {
+                detail: "resilient session snapshot lacks the resilient state".to_string(),
+            });
+        }
+        let state = LoopState::from_snapshot(&snap);
         let tuner = self.with_meta(meta);
-        Ok((tuner, session, restored))
+        Ok((tuner, session, state))
     }
 
     /// A clone of this tuner with the trajectory-determining settings

@@ -11,9 +11,8 @@
 //!   [`PerfDatabase`] prior, and [`Tuner::warm_start_from_history`] plugs
 //!   it into the existing warm-start path — which already pre-seeds the
 //!   surrogate (priors are real observations the model fits on) *and* the
-//!   eval cache ([`Tuner::prior_cache`] memoizes every prior, so
-//!   re-suggesting one is a cache hit, not a re-simulation) across all
-//!   four drivers.
+//!   eval cache (every prior is memoized, so re-suggesting one is a cache
+//!   hit, not a re-simulation) in the one tuning loop every driver runs.
 //! - [`record_report`] appends a finished report's fresh observations back
 //!   to the store, closing the crowdtuning loop.
 //! - [`HistoryService`] runs N sessions concurrently. Each session's

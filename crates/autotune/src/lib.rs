@@ -15,16 +15,18 @@
 //! - [`search`]: search algorithms — random, grid/exhaustive, hill-climbing
 //!   with restarts, simulated annealing, and a random-forest surrogate (the
 //!   ytopt default).
-//! - [`tuner`]: the loop itself, with a configurable evaluation budget
-//!   (`--max-evals` in ytopt terms).
+//! - [`tuner`]: the loop itself — one round-based ask-tell loop behind
+//!   every driver, with a configurable evaluation budget (`--max-evals` in
+//!   ytopt terms).
 //! - [`resilient`]: fault-tolerant drivers — bounded retry-with-backoff,
 //!   quarantine of repeatedly failing configurations, graceful degradation
 //!   to a fallback search when the database is poisoned.
 //! - [`faultlog`]: the [`FaultLog`] carried by every [`TuneReport`] stating
 //!   what was injected and what was survived.
 //! - [`ckpt`]: crash-safe sessions — a write-ahead log of every evaluation,
-//!   periodic full snapshots, and `resume*` entry points on all four drivers
-//!   that replay a killed session to a byte-identical [`TuneReport`].
+//!   periodic full snapshots, and a `resume*` entry point for each of
+//!   `run`, `run_parallel`, `run_resilient` and `run_parallel_resilient`
+//!   that replays a killed session to a byte-identical [`TuneReport`].
 //! - [`history_service`]: the shared performance-history bridge — warm
 //!   starts from and recording to a `pstack-history` store (GPTune
 //!   HistoryDB-style crowdtuning), plus the multi-session

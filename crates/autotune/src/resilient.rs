@@ -21,6 +21,10 @@
 //!   bounds the total work a hostile evaluator can consume; when it is
 //!   spent the run is abandoned with whatever was observed so far.
 //!
+//! The fault-free drivers run the same bookkeeping with a single attempt
+//! and no outlier screening, so a non-finite objective there is
+//! quarantined too rather than recorded.
+//!
 //! Everything injected and survived is tallied in the
 //! [`FaultLog`](crate::FaultLog) carried by [`TuneReport`], so a report
 //! always states the conditions it was produced under. Backoff time is
@@ -33,21 +37,14 @@
 //! hashing — a seeded resilient run reproduces the identical report
 //! byte-for-byte for any worker count, exactly like the fault-free drivers.
 
-use crate::ckpt::{
-    checkpoint_tick, ActiveSession, EvalRecord, ResilientSnapshot, RestoredResilient, RestoredState,
-};
+use crate::ckpt::{EvalRecord, ResilientSnapshot};
 use crate::db::PerfDatabase;
 use crate::faultlog::{FaultKind, FaultLog};
 use crate::search::SearchAlgorithm;
 use crate::space::{Config, ParamSpace};
-use crate::tuner::{
-    config_fingerprint, fan_out, BatchEvaluator, CacheStats, Evaluation, TuneError, TuneReport,
-    Tuner,
-};
-use pstack_sync::SyncMutex;
-use pstack_trace::{AttrValue, ProfileBuilder, SpanGuard, SpanId, TraceCollector};
+use crate::tuner::{Driver, Evaluation, Evaluators, Serial, TuneError, TuneReport, Tuner};
+use pstack_trace::{AttrValue, SpanGuard};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -150,7 +147,7 @@ impl Default for Robustness {
 }
 
 /// Per-configuration outcome of the bounded retry loop.
-struct ConfigOutcome {
+pub(crate) struct ConfigOutcome {
     /// The successful evaluation, or `None` when every attempt failed.
     result: Option<Evaluation>,
     /// Fault events in occurrence order: `(kind, attempt, detail)`.
@@ -160,13 +157,13 @@ struct ConfigOutcome {
     /// Virtual backoff accounted while retrying, seconds.
     backoff_s: f64,
     /// Wall time spent across all attempts, seconds (profiling only).
-    dur_s: f64,
+    pub(crate) dur_s: f64,
 }
 
 impl ConfigOutcome {
     /// Write this outcome onto its evaluation span: final verdict, attempt
     /// count, and one event per injected fault (in occurrence order).
-    fn annotate(&self, span: &mut SpanGuard<'_>) {
+    pub(crate) fn annotate(&self, span: &mut SpanGuard<'_>) {
         span.attr(
             "verdict",
             if self.result.is_some() {
@@ -188,7 +185,7 @@ impl ConfigOutcome {
     }
 
     /// Retry waits accounted by the retry loop (the `Retry` events).
-    fn retry_count(&self) -> usize {
+    pub(crate) fn retry_count(&self) -> usize {
         self.events
             .iter()
             .filter(|(kind, _, _)| *kind == FaultKind::Retry)
@@ -198,7 +195,7 @@ impl ConfigOutcome {
 
 /// Run the retry loop for one configuration. Pure given a deterministic
 /// evaluator: outcome depends only on `(cfg, attempt)` results.
-fn attempt_config(
+pub(crate) fn attempt_config(
     space: &ParamSpace,
     cfg: &Config,
     retry: &RetryPolicy,
@@ -256,7 +253,7 @@ fn attempt_config(
 /// Rebuild a [`ConfigOutcome`] from its durable [`EvalRecord`] — the
 /// resilient replay path. Event kinds round-trip by name; an unknown name
 /// means the log was written by an incompatible build.
-fn outcome_from_record(rec: EvalRecord) -> Result<ConfigOutcome, TuneError> {
+pub(crate) fn outcome_from_record(rec: EvalRecord) -> Result<ConfigOutcome, TuneError> {
     let EvalRecord {
         ordinal,
         objective,
@@ -283,7 +280,11 @@ fn outcome_from_record(rec: EvalRecord) -> Result<ConfigOutcome, TuneError> {
 }
 
 /// Flatten a retry-loop outcome into its durable record.
-fn record_from_outcome(ordinal: usize, cfg: &Config, outcome: &ConfigOutcome) -> EvalRecord {
+pub(crate) fn record_from_outcome(
+    ordinal: usize,
+    cfg: &Config,
+    outcome: &ConfigOutcome,
+) -> EvalRecord {
     EvalRecord {
         ordinal,
         config: cfg.clone(),
@@ -313,72 +314,35 @@ fn median_objective(db: &PerfDatabase) -> Option<f64> {
     Some(objs[objs.len() / 2])
 }
 
-/// Shared bookkeeping of the serial and parallel resilient loops.
-struct ResilientState<'a> {
-    robustness: &'a Robustness,
-    faults: FaultLog,
-    stats: CacheStats,
-    /// Quarantine ledger keyed by config fingerprint, so a config
-    /// quarantined in one session is recognized when the same index vector
-    /// reappears from a checkpoint replay or a history warm start, and the
-    /// ledger can never hold two entries for one configuration.
-    quarantined: BTreeMap<String, Config>,
-    /// Ordinal of the next fresh (non-cached, non-quarantined) configuration.
-    fresh_idx: usize,
-    /// Failed attempts so far vs. the run-level budget.
-    failed_attempts: usize,
-    fault_budget: usize,
-    /// Once degraded, the fallback drives every later suggestion.
-    degraded: bool,
-}
-
-impl<'a> ResilientState<'a> {
-    fn new(robustness: &'a Robustness, max_evals: usize) -> Self {
-        ResilientState {
-            robustness,
+/// The ledger as the tuning loop keeps it: quarantined configurations stay
+/// sorted, so membership is a binary search and snapshots are
+/// deterministic without re-sorting.
+impl ResilientSnapshot {
+    /// An empty ledger whose next fresh configuration has ordinal
+    /// `fresh_idx`.
+    pub(crate) fn clean(fresh_idx: usize) -> Self {
+        ResilientSnapshot {
+            quarantined: Vec::new(),
             faults: FaultLog::new(),
-            stats: CacheStats::default(),
-            quarantined: BTreeMap::new(),
-            fresh_idx: 0,
+            fresh_idx,
             failed_attempts: 0,
-            fault_budget: max_evals.max(1) * robustness.retry.max_attempts.max(1),
             degraded: false,
         }
     }
 
-    /// Rehydrate the loop bookkeeping from a restored snapshot (the fault
-    /// budget is recomputed — `robustness` and `max_evals` come from the
-    /// session metadata, so it matches the original run's).
-    fn restore(&mut self, stats: CacheStats, rr: RestoredResilient) {
-        self.stats = stats;
-        self.quarantined = rr
-            .quarantined
-            .into_iter()
-            .map(|cfg| (config_fingerprint(&cfg), cfg))
-            .collect();
-        self.faults = rr.faults;
-        self.fresh_idx = rr.fresh_idx;
-        self.failed_attempts = rr.failed_attempts;
-        self.degraded = rr.degraded;
-    }
-
-    /// The durable image of this state, quarantine ledger sorted for
-    /// deterministic bytes.
-    fn snapshot(&self) -> ResilientSnapshot {
-        let mut quarantined: Vec<Config> = self.quarantined.values().cloned().collect();
-        quarantined.sort();
-        ResilientSnapshot {
-            quarantined,
-            faults: self.faults.clone(),
-            fresh_idx: self.fresh_idx,
-            failed_attempts: self.failed_attempts,
-            degraded: self.degraded,
-        }
+    /// Whether `cfg` exhausted its retries earlier in the session.
+    pub(crate) fn is_quarantined(&self, cfg: &Config) -> bool {
+        self.quarantined.binary_search(cfg).is_ok()
     }
 
     /// Fold one configuration's retry outcome into the log. Returns the
     /// successful evaluation, if any; quarantines otherwise.
-    fn absorb(&mut self, cfg: &Config, outcome: ConfigOutcome) -> Option<Evaluation> {
+    pub(crate) fn absorb(
+        &mut self,
+        cfg: &Config,
+        outcome: ConfigOutcome,
+        retry: &RetryPolicy,
+    ) -> Option<Evaluation> {
         let idx = self.fresh_idx;
         self.fresh_idx += 1;
         for (kind, attempt, detail) in outcome.events {
@@ -388,14 +352,15 @@ impl<'a> ResilientState<'a> {
         self.failed_attempts += outcome.failed_attempts;
         self.faults.total_backoff_s += outcome.backoff_s;
         if outcome.result.is_none() {
-            self.quarantined
-                .insert(config_fingerprint(cfg), cfg.clone());
+            if let Err(at) = self.quarantined.binary_search(cfg) {
+                self.quarantined.insert(at, cfg.clone());
+            }
             self.faults.record(
                 FaultKind::Quarantined,
                 format!("eval {idx}"),
                 format!(
                     "config {cfg:?} failed {} attempts",
-                    self.robustness.retry.max_attempts.max(1)
+                    retry.max_attempts.max(1)
                 ),
             );
         }
@@ -404,21 +369,27 @@ impl<'a> ResilientState<'a> {
 
     /// After a successful record: flag outliers and decide degradation.
     /// Returns `true` when the loop should switch to the fallback now.
-    fn observe_recorded(&mut self, db: &PerfDatabase, objective: f64, has_fallback: bool) -> bool {
-        if db.len() < self.robustness.min_observations {
+    pub(crate) fn screen(
+        &mut self,
+        robustness: &Robustness,
+        db: &PerfDatabase,
+        objective: f64,
+        has_fallback: bool,
+    ) -> bool {
+        if db.len() < robustness.min_observations {
             return false;
         }
         let Some(median) = median_objective(db) else {
             return false;
         };
-        let threshold = self.robustness.outlier_factor * median.max(f64::MIN_POSITIVE);
+        let threshold = robustness.outlier_factor * median.max(f64::MIN_POSITIVE);
         if objective > threshold {
             self.faults.record(
                 FaultKind::Outlier,
                 format!("eval {}", db.len() - 1),
                 format!(
                     "objective {objective:.3} > {:.1}x median",
-                    self.robustness.outlier_factor
+                    robustness.outlier_factor
                 ),
             );
         }
@@ -431,18 +402,18 @@ impl<'a> ResilientState<'a> {
             .filter(|o| o.objective > threshold)
             .count();
         let frac = outliers as f64 / db.len() as f64;
-        frac >= self.robustness.poison_fraction
+        frac >= robustness.poison_fraction
     }
 
     /// True when the run-level fault budget is spent (logs the abandonment).
-    fn budget_spent(&mut self) -> bool {
-        if self.failed_attempts >= self.fault_budget {
+    pub(crate) fn budget_spent(&mut self, fault_budget: usize) -> bool {
+        if self.failed_attempts >= fault_budget {
             self.faults.record(
                 FaultKind::RunAbandoned,
                 format!("eval {}", self.fresh_idx),
                 format!(
-                    "fault budget spent: {} failed attempts (budget {})",
-                    self.failed_attempts, self.fault_budget
+                    "fault budget spent: {} failed attempts (budget {fault_budget})",
+                    self.failed_attempts
                 ),
             );
             true
@@ -475,13 +446,13 @@ impl Tuner {
         robustness: &Robustness,
         evaluate: impl FnMut(&ParamSpace, &Config, usize) -> Result<Evaluation, EvalError>,
     ) -> Result<TuneReport, TuneError> {
-        let session = self.open_session(
-            "run_resilient",
+        self.start(
+            Driver::RUN_RESILIENT,
             algorithm,
-            fallback.as_deref(),
+            fallback,
             Some(robustness),
-        )?;
-        self.run_resilient_impl(algorithm, fallback, robustness, evaluate, session, None)
+            Evaluators::One(&mut Serial(evaluate)),
+        )
     }
 
     /// Resume a killed [`run_resilient`](Self::run_resilient) session —
@@ -497,240 +468,15 @@ impl Tuner {
     pub fn resume_resilient(
         &self,
         algorithm: &mut dyn SearchAlgorithm,
-        mut fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
+        fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
         evaluate: impl FnMut(&ParamSpace, &Config, usize) -> Result<Evaluation, EvalError>,
     ) -> Result<TuneReport, TuneError> {
-        let (tuner, session, restored) =
-            self.load_session("run_resilient", algorithm, fallback.as_deref_mut())?;
-        let robustness = session
-            .meta()
-            .robustness
-            .ok_or_else(|| TuneError::Checkpoint {
-                detail: "session metadata carries no robustness settings".to_string(),
-            })?;
-        tuner.run_resilient_impl(
+        self.resume_as(
+            Driver::RUN_RESILIENT,
             algorithm,
             fallback,
-            &robustness,
-            evaluate,
-            Some(session),
-            Some(restored),
+            Evaluators::One(&mut Serial(evaluate)),
         )
-    }
-
-    /// [`run_resilient`](Self::run_resilient) through a stateful
-    /// [`BatchEvaluator`]: retries call
-    /// [`evaluate_attempt`](BatchEvaluator::evaluate_attempt) with the
-    /// attempt index, so a deterministic evaluator can vary its fault
-    /// decision per retry exactly like the closure form. The report is
-    /// byte-identical to [`run_resilient`](Self::run_resilient) with an
-    /// equivalent closure.
-    ///
-    /// # Errors
-    /// As [`run_resilient`](Self::run_resilient).
-    pub fn run_resilient_with(
-        &self,
-        algorithm: &mut dyn SearchAlgorithm,
-        fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
-        robustness: &Robustness,
-        evaluator: &mut dyn BatchEvaluator,
-    ) -> Result<TuneReport, TuneError> {
-        let session = self.open_session(
-            "run_resilient",
-            algorithm,
-            fallback.as_deref(),
-            Some(robustness),
-        )?;
-        self.run_resilient_impl(
-            algorithm,
-            fallback,
-            robustness,
-            |space, cfg, attempt| evaluator.evaluate_attempt(space, cfg, attempt),
-            session,
-            None,
-        )
-    }
-
-    fn run_resilient_impl(
-        &self,
-        algorithm: &mut dyn SearchAlgorithm,
-        mut fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
-        robustness: &Robustness,
-        mut evaluate: impl FnMut(&ParamSpace, &Config, usize) -> Result<Evaluation, EvalError>,
-        mut session: Option<ActiveSession>,
-        mut restored: Option<RestoredState>,
-    ) -> Result<TuneReport, TuneError> {
-        self.preflight()?;
-        let mut profile = ProfileBuilder::new();
-        let mut root = self.open_root("tuner.run_resilient", algorithm.name());
-        let restored_res = match restored.as_mut() {
-            Some(r) => Some(r.resilient.take().ok_or_else(|| TuneError::Checkpoint {
-                detail: "resilient session snapshot lacks the resilient state".to_string(),
-            })?),
-            None => None,
-        };
-        let (mut db, prior_len, mut cache, stats, mut rng, mut consecutive_dups) =
-            self.loop_state(restored);
-        let mut state = ResilientState::new(robustness, self.max_evals);
-        if let Some(rr) = restored_res {
-            state.restore(stats, rr);
-        }
-        checkpoint_tick(
-            &mut session,
-            &db,
-            &cache,
-            state.stats,
-            &rng,
-            consecutive_dups,
-            &*algorithm,
-            fallback.as_deref(),
-            || Some(state.snapshot()),
-        )?;
-        while db.len() - prior_len < self.max_evals {
-            let active: &mut dyn SearchAlgorithm = if state.degraded {
-                fallback
-                    .as_deref_mut()
-                    .expect("degraded only with fallback")
-            } else {
-                &mut *algorithm
-            };
-            let t_suggest = Instant::now();
-            let suggestion = active.suggest(&self.space, &db, &mut rng);
-            profile.sample("suggest", t_suggest.elapsed().as_secs_f64());
-            let Some(cfg) = suggestion else {
-                break; // strategy exhausted
-            };
-            self.check_valid(active, &cfg)?;
-            if state.quarantined.contains_key(&config_fingerprint(&cfg)) {
-                state.faults.record(
-                    FaultKind::QuarantineSkip,
-                    format!("eval {}", state.fresh_idx),
-                    format!("config {cfg:?} re-suggested while quarantined"),
-                );
-                if let Some(root) = root.as_mut() {
-                    root.event_with(
-                        "quarantine_skip",
-                        vec![(
-                            "config".to_string(),
-                            AttrValue::Str(config_fingerprint(&cfg)),
-                        )],
-                    );
-                }
-                consecutive_dups += 1;
-                if consecutive_dups >= self.max_consecutive_duplicates {
-                    break;
-                }
-                continue;
-            }
-            if cache.contains_key(&cfg) {
-                state.stats.hits += 1;
-                if let Some(root) = root.as_mut() {
-                    root.event_with(
-                        "cache_hit",
-                        vec![(
-                            "config".to_string(),
-                            AttrValue::Str(config_fingerprint(&cfg)),
-                        )],
-                    );
-                }
-                consecutive_dups += 1;
-                if consecutive_dups >= self.max_consecutive_duplicates {
-                    break;
-                }
-                continue;
-            }
-            consecutive_dups = 0;
-            let replayed = match session.as_mut() {
-                Some(s) => s.replay_next(&cfg)?,
-                None => None,
-            };
-            let outcome = match replayed {
-                Some(rec) => outcome_from_record(rec)?,
-                None => {
-                    let mut span = root.as_ref().map(|r| {
-                        let mut s = r.child("eval");
-                        s.attr("worker", 0usize);
-                        s.attr("config", config_fingerprint(&cfg));
-                        s
-                    });
-                    let outcome =
-                        attempt_config(&self.space, &cfg, &robustness.retry, &mut evaluate);
-                    if let Some(s) = span.as_mut() {
-                        outcome.annotate(s);
-                    }
-                    drop(span);
-                    if let Some(s) = session.as_mut() {
-                        s.log(&record_from_outcome(s.next_ordinal(), &cfg, &outcome))?;
-                    }
-                    outcome
-                }
-            };
-            profile.sample("evaluate", outcome.dur_s);
-            profile.retries(outcome.retry_count());
-            if let Some((objective, aux)) = state.absorb(&cfg, outcome) {
-                state.stats.misses += 1;
-                cache.insert(cfg.clone(), (objective, aux.clone()));
-                db.record(cfg, objective, aux);
-                if state.observe_recorded(&db, objective, fallback.is_some()) {
-                    state.degraded = true;
-                    state.faults.record(
-                        FaultKind::SearchDegraded,
-                        format!("eval {}", db.len() - 1),
-                        format!(
-                            "database poisoned; {} -> {}",
-                            algorithm.name(),
-                            fallback.as_deref().map(|f| f.name()).unwrap_or("?")
-                        ),
-                    );
-                    if let Some(root) = root.as_mut() {
-                        root.event_with(
-                            "search_degraded",
-                            vec![(
-                                "fallback".to_string(),
-                                AttrValue::Str(
-                                    fallback.as_deref().map(|f| f.name()).unwrap_or("?").into(),
-                                ),
-                            )],
-                        );
-                    }
-                }
-            }
-            checkpoint_tick(
-                &mut session,
-                &db,
-                &cache,
-                state.stats,
-                &rng,
-                consecutive_dups,
-                &*algorithm,
-                fallback.as_deref(),
-                || Some(state.snapshot()),
-            )?;
-            if state.budget_spent() {
-                break;
-            }
-        }
-        if let Some(s) = session.as_mut() {
-            s.finish()?;
-        }
-        let mut report = self.report(
-            if state.degraded {
-                fallback.as_deref().expect("degraded only with fallback")
-            } else {
-                &*algorithm
-            },
-            db,
-            prior_len,
-            state.stats,
-            profile,
-        )?;
-        report.faults = state.faults;
-        if let Some(root) = root.as_mut() {
-            root.attr("evals", report.evals);
-            root.attr("best_objective", report.best_objective);
-            root.attr("degraded", state.degraded);
-        }
-        Ok(report)
     }
 
     /// Parallel fault-tolerant tuning loop: batched suggestions, a scoped
@@ -758,48 +504,13 @@ impl Tuner {
         workers: usize,
         evaluate: impl Fn(&ParamSpace, &Config, usize) -> Result<Evaluation, EvalError> + Sync,
     ) -> Result<TuneReport, TuneError> {
-        let session = self.open_session(
-            "run_parallel_resilient",
-            algorithm,
-            fallback.as_deref(),
-            Some(robustness),
-        )?;
-        self.run_parallel_resilient_impl(
+        self.start(
+            Driver::RUN_PARALLEL_RESILIENT,
             algorithm,
             fallback,
-            robustness,
-            ResilientDispatch::Pool { workers, evaluate },
-            session,
-            None,
-        )
-    }
-
-    /// [`run_parallel_resilient`](Self::run_parallel_resilient) through a
-    /// stateful [`BatchEvaluator`]: each round's fresh proposals run their
-    /// retry loops serially through one warm evaluator inside a single
-    /// amortized `evaluate_many` span. The report is byte-identical to
-    /// [`run_parallel_resilient`](Self::run_parallel_resilient) with an
-    /// equivalent closure (any worker count) — quarantine, degradation,
-    /// fault verdicts and WAL records are unchanged.
-    ///
-    /// # Errors
-    /// As [`run_parallel_resilient`](Self::run_parallel_resilient).
-    pub fn run_parallel_resilient_with(
-        &self,
-        algorithm: &mut dyn SearchAlgorithm,
-        fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
-        robustness: &Robustness,
-        evaluator: &mut dyn BatchEvaluator,
-    ) -> Result<TuneReport, TuneError> {
-        let session = self.open_session(
-            "run_parallel_resilient",
-            algorithm,
-            fallback.as_deref(),
             Some(robustness),
-        )?;
-        let dispatch: ResilientDispatch<'_, ResilientEvalFn> =
-            ResilientDispatch::Batched { evaluator };
-        self.run_parallel_resilient_impl(algorithm, fallback, robustness, dispatch, session, None)
+            Evaluators::Pool(workers, &evaluate),
+        )
     }
 
     /// Resume a killed
@@ -815,358 +526,16 @@ impl Tuner {
     pub fn resume_parallel_resilient(
         &self,
         algorithm: &mut dyn SearchAlgorithm,
-        mut fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
+        fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
         workers: usize,
         evaluate: impl Fn(&ParamSpace, &Config, usize) -> Result<Evaluation, EvalError> + Sync,
     ) -> Result<TuneReport, TuneError> {
-        let (tuner, session, restored) =
-            self.load_session("run_parallel_resilient", algorithm, fallback.as_deref_mut())?;
-        let robustness = session
-            .meta()
-            .robustness
-            .ok_or_else(|| TuneError::Checkpoint {
-                detail: "session metadata carries no robustness settings".to_string(),
-            })?;
-        tuner.run_parallel_resilient_impl(
+        self.resume_as(
+            Driver::RUN_PARALLEL_RESILIENT,
             algorithm,
             fallback,
-            &robustness,
-            ResilientDispatch::Pool { workers, evaluate },
-            Some(session),
-            Some(restored),
+            Evaluators::Pool(workers, &evaluate),
         )
-    }
-
-    fn run_parallel_resilient_impl<F>(
-        &self,
-        algorithm: &mut dyn SearchAlgorithm,
-        mut fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
-        robustness: &Robustness,
-        mut dispatch: ResilientDispatch<'_, F>,
-        mut session: Option<ActiveSession>,
-        mut restored: Option<RestoredState>,
-    ) -> Result<TuneReport, TuneError>
-    where
-        F: Fn(&ParamSpace, &Config, usize) -> Result<Evaluation, EvalError> + Sync,
-    {
-        if let ResilientDispatch::Pool { workers, .. } = &dispatch {
-            assert!(*workers > 0, "need at least one worker");
-        }
-        self.preflight()?;
-        let mut profile = ProfileBuilder::new();
-        let mut root = self.open_root("tuner.run_parallel_resilient", algorithm.name());
-        if let Some(root) = root.as_mut() {
-            match &dispatch {
-                ResilientDispatch::Pool { workers, .. } => root.attr("workers", *workers),
-                ResilientDispatch::Batched { .. } => root.attr("dispatch", "batched"),
-            }
-            root.attr("batch_size", self.batch_size);
-        }
-        let restored_res = match restored.as_mut() {
-            Some(r) => Some(r.resilient.take().ok_or_else(|| TuneError::Checkpoint {
-                detail: "resilient session snapshot lacks the resilient state".to_string(),
-            })?),
-            None => None,
-        };
-        let (mut db, prior_len, mut cache, stats, mut rng, mut consecutive_dups) =
-            self.loop_state(restored);
-        let mut state = ResilientState::new(robustness, self.max_evals);
-        if let Some(rr) = restored_res {
-            state.restore(stats, rr);
-        }
-        checkpoint_tick(
-            &mut session,
-            &db,
-            &cache,
-            state.stats,
-            &rng,
-            consecutive_dups,
-            &*algorithm,
-            fallback.as_deref(),
-            || Some(state.snapshot()),
-        )?;
-        // Round-reusable buffers: proposals, outcomes and pool slots keep
-        // their allocations across rounds (no per-proposal churn).
-        let mut fresh: Vec<Config> = Vec::new();
-        let mut outcomes: Vec<ConfigOutcome> = Vec::new();
-        let mut slots: Vec<SyncMutex<Option<ConfigOutcome>>> = Vec::new();
-        'rounds: while db.len() - prior_len < self.max_evals {
-            let want = self.batch_size.min(self.max_evals - (db.len() - prior_len));
-            let active: &mut dyn SearchAlgorithm = if state.degraded {
-                fallback
-                    .as_deref_mut()
-                    .expect("degraded only with fallback")
-            } else {
-                &mut *algorithm
-            };
-            let mut proposals = {
-                let _span = root.as_ref().map(|r| {
-                    let mut s = r.child("suggest_batch");
-                    s.attr("want", want);
-                    s
-                });
-                let t_suggest = Instant::now();
-                let proposals = active.suggest_batch(&self.space, &db, &mut rng, want);
-                profile.sample("suggest", t_suggest.elapsed().as_secs_f64());
-                proposals
-            };
-            if proposals.is_empty() {
-                break; // strategy exhausted
-            }
-            proposals.truncate(want);
-            fresh.clear();
-            outcomes.clear();
-            let mut exhausted = false;
-            for cfg in proposals {
-                self.check_valid(active, &cfg)?;
-                if state.quarantined.contains_key(&config_fingerprint(&cfg)) {
-                    state.faults.record(
-                        FaultKind::QuarantineSkip,
-                        format!("eval {}", state.fresh_idx),
-                        format!("config {cfg:?} re-suggested while quarantined"),
-                    );
-                    if let Some(root) = root.as_mut() {
-                        root.event_with(
-                            "quarantine_skip",
-                            vec![(
-                                "config".to_string(),
-                                AttrValue::Str(config_fingerprint(&cfg)),
-                            )],
-                        );
-                    }
-                    consecutive_dups += 1;
-                } else if cache.contains_key(&cfg) || fresh.contains(&cfg) {
-                    state.stats.hits += 1;
-                    if let Some(root) = root.as_mut() {
-                        root.event_with(
-                            "cache_hit",
-                            vec![(
-                                "config".to_string(),
-                                AttrValue::Str(config_fingerprint(&cfg)),
-                            )],
-                        );
-                    }
-                    consecutive_dups += 1;
-                } else {
-                    consecutive_dups = 0;
-                    fresh.push(cfg);
-                    continue;
-                }
-                if consecutive_dups >= self.max_consecutive_duplicates {
-                    exhausted = true;
-                    break;
-                }
-            }
-            // Retry loops run inside each worker's slot; outcomes surface in
-            // suggestion order regardless of which worker finished first.
-            let trace = match (self.trace.as_deref(), root.as_ref()) {
-                (Some(t), Some(r)) => Some((t, r.id())),
-                _ => None,
-            };
-            if let Some(s) = session.as_mut() {
-                while outcomes.len() < fresh.len() {
-                    match s.replay_next(&fresh[outcomes.len()])? {
-                        Some(rec) => outcomes.push(outcome_from_record(rec)?),
-                        None => break,
-                    }
-                }
-            }
-            let replay_n = outcomes.len();
-            match &mut dispatch {
-                ResilientDispatch::Pool { workers, evaluate } => evaluate_batch_resilient(
-                    &self.space,
-                    &fresh[replay_n..],
-                    &robustness.retry,
-                    *workers,
-                    evaluate,
-                    trace,
-                    &mut slots,
-                    &mut outcomes,
-                ),
-                ResilientDispatch::Batched { evaluator } => evaluate_many_resilient(
-                    &self.space,
-                    &fresh[replay_n..],
-                    &robustness.retry,
-                    *evaluator,
-                    trace,
-                    &mut outcomes,
-                    &mut profile,
-                ),
-            }
-            for i in replay_n..outcomes.len() {
-                if let Some(s) = session.as_mut() {
-                    s.log(&record_from_outcome(
-                        s.next_ordinal(),
-                        &fresh[i],
-                        &outcomes[i],
-                    ))?;
-                }
-            }
-            for (cfg, outcome) in fresh.drain(..).zip(outcomes.drain(..)) {
-                profile.sample("evaluate", outcome.dur_s);
-                profile.retries(outcome.retry_count());
-                if let Some((objective, aux)) = state.absorb(&cfg, outcome) {
-                    state.stats.misses += 1;
-                    cache.insert(cfg.clone(), (objective, aux.clone()));
-                    db.record(cfg, objective, aux);
-                    if state.observe_recorded(&db, objective, fallback.is_some()) {
-                        state.degraded = true;
-                        state.faults.record(
-                            FaultKind::SearchDegraded,
-                            format!("eval {}", db.len() - 1),
-                            format!(
-                                "database poisoned; {} -> {}",
-                                algorithm.name(),
-                                fallback.as_deref().map(|f| f.name()).unwrap_or("?")
-                            ),
-                        );
-                        if let Some(root) = root.as_mut() {
-                            root.event_with(
-                                "search_degraded",
-                                vec![(
-                                    "fallback".to_string(),
-                                    AttrValue::Str(
-                                        fallback.as_deref().map(|f| f.name()).unwrap_or("?").into(),
-                                    ),
-                                )],
-                            );
-                        }
-                    }
-                }
-            }
-            checkpoint_tick(
-                &mut session,
-                &db,
-                &cache,
-                state.stats,
-                &rng,
-                consecutive_dups,
-                &*algorithm,
-                fallback.as_deref(),
-                || Some(state.snapshot()),
-            )?;
-            if state.budget_spent() || exhausted {
-                break 'rounds;
-            }
-        }
-        if let Some(s) = session.as_mut() {
-            s.finish()?;
-        }
-        let mut report = self.report(
-            if state.degraded {
-                fallback.as_deref().expect("degraded only with fallback")
-            } else {
-                &*algorithm
-            },
-            db,
-            prior_len,
-            state.stats,
-            profile,
-        )?;
-        report.faults = state.faults;
-        if let Some(root) = root.as_mut() {
-            root.attr("evals", report.evals);
-            root.attr("best_objective", report.best_objective);
-            root.attr("degraded", state.degraded);
-        }
-        Ok(report)
-    }
-}
-
-/// `fn`-pointer stand-in for the pool closure type parameter when a driver
-/// dispatches through a [`BatchEvaluator`] instead.
-type ResilientEvalFn = fn(&ParamSpace, &Config, usize) -> Result<Evaluation, EvalError>;
-
-/// How a resilient round's fresh configurations run their retry loops:
-/// fanned out over a pool of scoped worker threads, or serially through
-/// one stateful [`BatchEvaluator`] (the amortized fast path).
-enum ResilientDispatch<'a, F> {
-    Pool {
-        workers: usize,
-        evaluate: F,
-    },
-    Batched {
-        evaluator: &'a mut dyn BatchEvaluator,
-    },
-}
-
-/// Run the retry loop for every fresh configuration on up to `workers`
-/// scoped threads, appending outcomes to `outcomes` in suggestion order.
-/// With a trace target, each configuration records an `eval` span (worker
-/// id, config fingerprint, verdict, one event per injected fault).
-/// `slots` and `outcomes` are caller-owned buffers recycled across rounds.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_batch_resilient(
-    space: &ParamSpace,
-    fresh: &[Config],
-    retry: &RetryPolicy,
-    workers: usize,
-    evaluate: &(impl Fn(&ParamSpace, &Config, usize) -> Result<Evaluation, EvalError> + Sync),
-    trace: Option<(&TraceCollector, SpanId)>,
-    slots: &mut Vec<SyncMutex<Option<ConfigOutcome>>>,
-    outcomes: &mut Vec<ConfigOutcome>,
-) {
-    let run_one = |cfg: &Config, worker: usize| {
-        let mut span = trace.map(|(t, parent)| {
-            let mut s = t.child("eval", parent);
-            s.attr("worker", worker);
-            s.attr("config", config_fingerprint(cfg));
-            s
-        });
-        let out = attempt_config(space, cfg, retry, &mut |s, c, attempt| {
-            evaluate(s, c, attempt)
-        });
-        if let Some(s) = span.as_mut() {
-            out.annotate(s);
-        }
-        out
-    };
-    fan_out(fresh, workers, slots, outcomes, run_one);
-}
-
-/// Run the retry loop for every fresh configuration serially through one
-/// stateful [`BatchEvaluator`], appending outcomes in suggestion order.
-/// With a trace target, the round records an `evaluate_many` span (`batch`
-/// size, evaluator `reuse_hits` delta) parenting one `eval` span per
-/// configuration; the profile gains an `evaluate_many` sample covering the
-/// amortized call.
-fn evaluate_many_resilient(
-    space: &ParamSpace,
-    fresh: &[Config],
-    retry: &RetryPolicy,
-    evaluator: &mut dyn BatchEvaluator,
-    trace: Option<(&TraceCollector, SpanId)>,
-    outcomes: &mut Vec<ConfigOutcome>,
-    profile: &mut ProfileBuilder,
-) {
-    let mut span = trace.map(|(t, parent)| {
-        let mut s = t.child("evaluate_many", parent);
-        s.attr("batch", fresh.len());
-        s
-    });
-    let reuse_before = evaluator.reuse_hits();
-    let t_batch = Instant::now();
-    for cfg in fresh {
-        let mut eval_span = span.as_ref().map(|s| {
-            let mut e = s.child("eval");
-            e.attr("worker", 0usize);
-            e.attr("config", config_fingerprint(cfg));
-            e
-        });
-        let out = attempt_config(space, cfg, retry, &mut |s, c, attempt| {
-            evaluator.evaluate_attempt(s, c, attempt)
-        });
-        if let Some(s) = eval_span.as_mut() {
-            out.annotate(s);
-        }
-        outcomes.push(out);
-    }
-    profile.sample("evaluate_many", t_batch.elapsed().as_secs_f64());
-    if let Some(s) = span.as_mut() {
-        s.attr(
-            "reuse_hits",
-            evaluator.reuse_hits().saturating_sub(reuse_before),
-        );
     }
 }
 
@@ -1466,102 +835,6 @@ mod tests {
             serde_json::to_string(&eight).unwrap(),
             "reports serialize byte-identically across worker counts"
         );
-    }
-
-    /// Stateless flaky evaluator for the `_with` drivers: every first
-    /// attempt fails, every retry succeeds — a pure function of
-    /// `(config, attempt)` exactly like the closure it mirrors.
-    struct FlakyBowlEvaluator;
-
-    impl BatchEvaluator for FlakyBowlEvaluator {
-        fn evaluate(&mut self, _space: &ParamSpace, cfg: &Config) -> Evaluation {
-            (bowl(cfg), HashMap::new())
-        }
-
-        fn evaluate_attempt(
-            &mut self,
-            _space: &ParamSpace,
-            cfg: &Config,
-            attempt: usize,
-        ) -> Result<Evaluation, EvalError> {
-            if attempt == 0 {
-                Err(EvalError::Failed("first attempt flakes".into()))
-            } else {
-                Ok((bowl(cfg), HashMap::new()))
-            }
-        }
-    }
-
-    #[test]
-    fn resilient_with_drivers_match_closures_byte_for_byte() {
-        let flaky = |_: &ParamSpace, c: &Config, attempt: usize| {
-            if attempt == 0 {
-                Err(EvalError::Failed("first attempt flakes".into()))
-            } else {
-                Ok((bowl(c), HashMap::new()))
-            }
-        };
-        let serial_closure = Tuner::new(space())
-            .max_evals(10)
-            .seed(5)
-            .run_resilient(
-                &mut RandomSearch::new(),
-                None,
-                &Robustness::default(),
-                flaky,
-            )
-            .unwrap();
-        let serial_batched = Tuner::new(space())
-            .max_evals(10)
-            .seed(5)
-            .run_resilient_with(
-                &mut RandomSearch::new(),
-                None,
-                &Robustness::default(),
-                &mut FlakyBowlEvaluator,
-            )
-            .unwrap();
-        assert_eq!(
-            serde_json::to_string(&serial_closure).unwrap(),
-            serde_json::to_string(&serial_batched).unwrap()
-        );
-        let parallel_closure = Tuner::new(space())
-            .max_evals(10)
-            .seed(5)
-            .run_parallel_resilient(
-                &mut RandomSearch::new(),
-                None,
-                &Robustness::default(),
-                4,
-                flaky,
-            )
-            .unwrap();
-        let parallel_batched = Tuner::new(space())
-            .max_evals(10)
-            .seed(5)
-            .run_parallel_resilient_with(
-                &mut RandomSearch::new(),
-                None,
-                &Robustness::default(),
-                &mut FlakyBowlEvaluator,
-            )
-            .unwrap();
-        assert_eq!(
-            serde_json::to_string(&parallel_closure).unwrap(),
-            serde_json::to_string(&parallel_batched).unwrap()
-        );
-        // Fault accounting and profile invariants carry over to the
-        // amortized driver: retries recorded, one evaluate sample per miss,
-        // plus the whole-round evaluate_many stage.
-        assert!(parallel_batched.faults.counts.retries > 0);
-        assert_eq!(
-            parallel_batched.profile.stages["evaluate"].count,
-            parallel_batched.cache.misses
-        );
-        assert!(parallel_batched
-            .profile
-            .stages
-            .contains_key("evaluate_many"));
     }
 
     #[test]

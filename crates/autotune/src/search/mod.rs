@@ -90,6 +90,11 @@ pub trait SearchAlgorithm: SearchState {
     ///   avoid duplicates where feasible but must not loop forever trying.
     /// - An empty vec means the strategy is exhausted (e.g. grid complete);
     ///   returning fewer than `k` proposals is otherwise allowed.
+    /// - A batch of one is a serial step: `suggest_batch(space, db, rng, 1)`
+    ///   returns exactly the configuration [`suggest`](Self::suggest) would
+    ///   (nothing where it returns `None`) and leaves `rng` and the
+    ///   algorithm's own state as `suggest` would. The serial drivers run
+    ///   rounds of one through this method.
     ///
     /// The default implementation asks [`suggest`](Self::suggest) `k` times.
     /// Because `suggest` cannot see proposals that are still in flight, it
@@ -415,6 +420,55 @@ mod tests {
                 "{} diverged after state round-trip",
                 restored.name()
             );
+        }
+    }
+
+    #[test]
+    fn batch_of_one_is_a_serial_suggestion() {
+        let s = ParamSpace::new()
+            .with(Param::ints("a", 0..5))
+            .with(Param::ints("b", 0..6))
+            .with(Param::boolean("c"));
+        let objective = |c: &Config| (c[0] as f64 - 3.0).powi(2) + c[1] as f64 + c[2] as f64;
+        let shipped = shipped_algorithms().len();
+        // Every shipped algorithm, plus a forest whose initial design ends
+        // inside a warm-start prior.
+        let make = |i: usize| -> Box<dyn SearchAlgorithm> {
+            if i == shipped {
+                Box::new(ForestSearch::new().with_init(3))
+            } else {
+                shipped_algorithms().swap_remove(i)
+            }
+        };
+        for i in 0..=shipped {
+            for prior in [0, 5] {
+                let mut db = PerfDatabase::new();
+                let mut prior_rng = SmallRng::seed_from_u64(99);
+                while db.len() < prior {
+                    let c = s.sample(&mut prior_rng);
+                    if !db.contains(&c) {
+                        let o = objective(&c);
+                        db.record(c, o, Default::default());
+                    }
+                }
+                let (mut serial, mut batched) = (make(i), make(i));
+                let mut rng_serial = SmallRng::seed_from_u64(7);
+                let mut rng_batched = SmallRng::seed_from_u64(7);
+                // 24 steps carry the default forest's 8-point initial
+                // design well into its surrogate phase.
+                for step in 0..24 {
+                    let what = format!("{} (prior {prior}, step {step})", serial.name());
+                    let one = serial.suggest(&s, &db, &mut rng_serial);
+                    let batch = batched.suggest_batch(&s, &db, &mut rng_batched, 1);
+                    assert_eq!(batch, one.iter().cloned().collect::<Vec<_>>(), "{what}");
+                    assert_eq!(rng_serial.state(), rng_batched.state(), "{what}: RNG");
+                    let Some(c) = one else { break };
+                    if !db.contains(&c) {
+                        let o = objective(&c);
+                        db.record(c, o, Default::default());
+                    }
+                }
+            }
         }
     }
 

@@ -1,30 +1,37 @@
 //! The autotuning loop (Figure 4).
 //!
-//! `Tuner` wires a [`SearchAlgorithm`] to an evaluator closure (the paper's
+//! `Tuner` wires a [`SearchAlgorithm`] to an evaluator (the paper's
 //! `plopper`: "compiles the code and executes it to get the execution time")
 //! and repeats suggest → evaluate → record until the evaluation budget
 //! (`--max-evals`, default 100 in ytopt) is spent.
 //!
-//! Two drivers share the loop logic: [`Tuner::run`] evaluates serially, and
-//! [`Tuner::run_parallel`] asks the algorithm for whole batches
-//! ([`SearchAlgorithm::suggest_batch`]) and fans evaluations out over a
-//! scoped thread pool. Batch composition depends only on the seed and batch
-//! size — never on the worker count — and results are recorded in suggestion
-//! order, so a seeded run reproduces the identical [`TuneReport`] whether it
-//! used one worker or eight. An evaluation cache memoizes `(objective, aux)`
-//! per configuration so duplicate suggestions (common in warm-started runs)
-//! never re-simulate.
+//! Every public driver runs one round-based loop. Each round asks the
+//! algorithm for a batch ([`SearchAlgorithm::suggest_batch`]), evaluates the
+//! fresh proposals — on a scoped thread pool sharing a `Sync` closure, or
+//! through one stateful [`BatchEvaluator`] — and records the outcomes in
+//! suggestion order. The serial drivers ([`Tuner::run`],
+//! [`Tuner::run_resilient`]) run rounds of one proposal; the parallel ones
+//! rounds of [`Tuner::batch_size`]. Batch composition depends only on the
+//! seed and round size — never on the worker count — so a seeded run
+//! reproduces the identical [`TuneReport`] whether it used one worker or
+//! eight. An evaluation cache memoizes `(objective, aux)` per configuration
+//! so duplicate suggestions (common in warm-started runs) never
+//! re-simulate. The fault-free drivers keep the resilient drivers' fault
+//! ledger with a single attempt per configuration and no outlier
+//! screening (see [`crate::resilient`]).
 
-use crate::ckpt::{
-    checkpoint_tick, ActiveSession, CheckpointOpts, EvalRecord, InterruptFn, RestoredState,
-};
+use crate::ckpt::{checkpoint_tick, ActiveSession, CheckpointOpts, InterruptFn, LoopState};
 use crate::db::PerfDatabase;
-use crate::faultlog::FaultLog;
-use crate::resilient::EvalError;
+use crate::faultlog::{FaultKind, FaultLog};
+use crate::resilient::{
+    attempt_config, outcome_from_record, record_from_outcome, ConfigOutcome, EvalError,
+    RetryPolicy, Robustness,
+};
 use crate::search::SearchAlgorithm;
 use crate::space::{Config, ParamSpace};
+use crate::ResilientSnapshot;
 use pstack_sync::{sites, Ordering, SyncAtomicUsize, SyncMutex};
-use pstack_trace::{AttrValue, ProfileBuilder, ProfileSummary, SpanId, TraceCollector};
+use pstack_trace::{AttrValue, ProfileBuilder, ProfileSummary, TraceCollector};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -52,14 +59,12 @@ pub type Evaluation = (f64, HashMap<String, f64>);
 ///
 /// Closure evaluators rebuild their scenario state on every call; a
 /// `BatchEvaluator` owns reusable state (an arena, pre-sized buffers, a
-/// warm simulator) that is *reset in place* between evaluations. The
-/// `*_with` drivers ([`Tuner::run_with`], [`Tuner::run_parallel_with`],
-/// [`Tuner::run_resilient_with`](crate::resilient),
-/// [`Tuner::run_parallel_resilient_with`](crate::resilient)) feed whole
-/// `suggest_batch` proposals through one evaluator per round. Reports stay
-/// byte-identical to the closure drivers: suggestion order, cache
-/// accounting, fault verdicts and WAL records are unchanged — only the
-/// per-evaluation setup cost is amortized.
+/// warm simulator) that is *reset in place* between evaluations.
+/// [`Tuner::run_parallel_with`] feeds each round's `suggest_batch`
+/// proposals through one evaluator. Reports stay byte-identical to
+/// [`Tuner::run_parallel`] with an equivalent closure: suggestion order,
+/// cache accounting, fault verdicts and WAL records are unchanged — only
+/// the per-evaluation setup cost is amortized.
 pub trait BatchEvaluator {
     /// Evaluate one configuration, returning `(objective, aux)`.
     fn evaluate(&mut self, space: &ParamSpace, cfg: &Config) -> Evaluation;
@@ -90,22 +95,80 @@ pub trait BatchEvaluator {
     }
 }
 
-/// `fn`-pointer stand-in for the pool closure type parameter when a driver
-/// dispatches through a [`BatchEvaluator`] instead.
-pub(crate) type EvalFn = fn(&ParamSpace, &Config) -> (f64, HashMap<String, f64>);
+/// Adapts a serial driver's `FnMut` closure, called as
+/// `(space, config, attempt)`, into the one evaluator its rounds feed.
+pub(crate) struct Serial<F>(pub(crate) F);
 
-/// How a batched round's fresh configurations get evaluated: fanned out
-/// over a pool of scoped worker threads sharing a `Sync` closure, or fed
-/// serially through one stateful [`BatchEvaluator`] (the amortized fast
-/// path — no per-evaluation state rebuild, no thread handoff).
-pub(crate) enum EvalDispatch<'a, F> {
-    Pool {
-        workers: usize,
-        evaluate: F,
-    },
-    Batched {
-        evaluator: &'a mut dyn BatchEvaluator,
-    },
+impl<F> BatchEvaluator for Serial<F>
+where
+    F: FnMut(&ParamSpace, &Config, usize) -> Result<Evaluation, EvalError>,
+{
+    /// The first attempt, with a failure surfacing as a NaN objective.
+    fn evaluate(&mut self, space: &ParamSpace, cfg: &Config) -> Evaluation {
+        (self.0)(space, cfg, 0).unwrap_or_else(|_| (f64::NAN, HashMap::new()))
+    }
+
+    fn evaluate_attempt(
+        &mut self,
+        space: &ParamSpace,
+        cfg: &Config,
+        attempt: usize,
+    ) -> Result<Evaluation, EvalError> {
+        (self.0)(space, cfg, attempt)
+    }
+}
+
+/// How the loop evaluates a round's fresh configurations.
+pub(crate) enum Evaluators<'a> {
+    /// A scoped pool of this many worker threads sharing one closure,
+    /// called as `(space, config, attempt)`.
+    Pool(
+        usize,
+        &'a (dyn Fn(&ParamSpace, &Config, usize) -> Result<Evaluation, EvalError> + Sync),
+    ),
+    /// One stateful evaluator, fed the round in suggestion order with no
+    /// thread handoff.
+    One(&'a mut dyn BatchEvaluator),
+}
+
+/// One public driver: its [`SessionMeta::driver`](crate::SessionMeta)
+/// string, root span, and round shape.
+#[derive(Clone, Copy)]
+pub(crate) struct Driver {
+    name: &'static str,
+    span: &'static str,
+    /// Rounds of one proposal, whatever `batch_size` says.
+    serial: bool,
+    /// Retries, quarantine and degradation under caller-supplied
+    /// [`Robustness`].
+    resilient: bool,
+}
+
+impl Driver {
+    pub(crate) const RUN: Driver = Driver {
+        name: "run",
+        span: "tuner.run",
+        serial: true,
+        resilient: false,
+    };
+    pub(crate) const RUN_PARALLEL: Driver = Driver {
+        name: "run_parallel",
+        span: "tuner.run_parallel",
+        serial: false,
+        resilient: false,
+    };
+    pub(crate) const RUN_RESILIENT: Driver = Driver {
+        name: "run_resilient",
+        span: "tuner.run_resilient",
+        serial: true,
+        resilient: true,
+    };
+    pub(crate) const RUN_PARALLEL_RESILIENT: Driver = Driver {
+        name: "run_parallel_resilient",
+        span: "tuner.run_parallel_resilient",
+        serial: false,
+        resilient: true,
+    };
 }
 
 /// Fan `fresh` out over up to `workers` scoped threads (serially for a
@@ -113,7 +176,7 @@ pub(crate) enum EvalDispatch<'a, F> {
 /// `outputs` *in suggestion order*. `slots` is reusable scratch owned by
 /// the caller: both buffers keep their allocations across rounds, so the
 /// steady-state loop allocates nothing per proposal.
-pub(crate) fn fan_out<T: Send>(
+fn fan_out<T: Send>(
     fresh: &[Config],
     workers: usize,
     slots: &mut Vec<SyncMutex<Option<T>>>,
@@ -250,9 +313,11 @@ pub struct TuneReport {
     /// Evaluation-cache counters (hits are suggestions that never
     /// re-simulated).
     pub cache: CacheStats,
-    /// What was injected and survived. Empty for the fault-free drivers;
-    /// populated by [`Tuner::run_resilient`] /
-    /// [`Tuner::run_parallel_resilient`].
+    /// What was injected and survived: retries, quarantines and
+    /// degradation under [`Tuner::run_resilient`] /
+    /// [`Tuner::run_parallel_resilient`]. A fault-free driver's log stays
+    /// empty unless an objective came back non-finite, which quarantines
+    /// that configuration.
     pub faults: FaultLog,
     /// Where the run spent its time: per-stage count/total/mean/p95 plus
     /// cache and retry attribution. Populated by every driver.
@@ -344,14 +409,13 @@ impl Tuner {
     pub const DEFAULT_MAX_EVALS: usize = 100;
 
     /// Consecutive duplicate suggestions tolerated before a run is declared
-    /// exhausted for its strategy. Applies identically to the serial and
-    /// batch loops (a batch contributes its duplicates in suggestion order).
+    /// exhausted for its strategy. Every driver counts a round's duplicates
+    /// in suggestion order.
     pub const DEFAULT_MAX_CONSECUTIVE_DUPLICATES: usize = 16;
 
-    /// Default number of suggestions asked for per batch in
-    /// [`run_parallel`](Self::run_parallel). Deliberately independent of the
-    /// worker count so that changing workers never changes the search
-    /// trajectory.
+    /// Default number of suggestions asked for per round by the parallel
+    /// drivers. Deliberately independent of the worker count so that
+    /// changing workers never changes the search trajectory.
     pub const DEFAULT_BATCH_SIZE: usize = 8;
 
     /// Create a tuner over `space`.
@@ -421,10 +485,10 @@ impl Tuner {
         self
     }
 
-    /// Suggestions requested per ask-tell round in
-    /// [`run_parallel`](Self::run_parallel) (default
-    /// [`Self::DEFAULT_BATCH_SIZE`]). Larger batches expose more parallelism
-    /// but give model-based algorithms staler feedback between fits.
+    /// Suggestions requested per ask-tell round by the parallel drivers
+    /// (default [`Self::DEFAULT_BATCH_SIZE`]); the serial drivers always ask
+    /// for one. Larger batches expose more parallelism but give model-based
+    /// algorithms staler feedback between fits.
     ///
     /// # Panics
     /// Panics on a zero batch size.
@@ -492,22 +556,6 @@ impl Tuner {
         &self.space
     }
 
-    /// Open the driver's root span on the attached collector, if any, with
-    /// the attributes every driver shares.
-    pub(crate) fn open_root(
-        &self,
-        driver: &str,
-        algorithm: &str,
-    ) -> Option<pstack_trace::SpanGuard<'_>> {
-        self.trace.as_deref().map(|t| {
-            let mut s = t.span(driver);
-            s.attr("algorithm", algorithm);
-            s.attr("seed", self.seed);
-            s.attr("max_evals", self.max_evals);
-            s
-        })
-    }
-
     /// Run the loop serially. `evaluate` maps a configuration to
     /// `(objective, aux)`; the objective is minimized.
     ///
@@ -515,18 +563,28 @@ impl Tuner {
     /// evaluation cache (a hit in [`TuneReport::cache`]) without consuming
     /// budget, but after [`max_consecutive_duplicates`]
     /// (`Self::max_consecutive_duplicates`) consecutive duplicates the run
-    /// ends early — the space is exhausted for this strategy.
+    /// ends early — the space is exhausted for this strategy. A
+    /// configuration whose objective is not finite is quarantined and
+    /// logged in [`TuneReport::faults`] instead of recorded.
     ///
     /// # Errors
-    /// [`TuneError::NoEvaluations`] when the algorithm proposes nothing and
-    /// there is no warm-start prior to fall back on.
+    /// [`TuneError::NoEvaluations`] when the algorithm proposes nothing (or
+    /// every objective is non-finite) and there is no warm-start prior to
+    /// fall back on.
     pub fn run(
         &self,
         algorithm: &mut dyn SearchAlgorithm,
-        evaluate: impl FnMut(&ParamSpace, &Config) -> (f64, HashMap<String, f64>),
+        mut evaluate: impl FnMut(&ParamSpace, &Config) -> (f64, HashMap<String, f64>),
     ) -> Result<TuneReport, TuneError> {
-        let session = self.open_session("run", algorithm, None, None)?;
-        self.run_impl(algorithm, evaluate, session, None)
+        let mut serial =
+            Serial(|space: &ParamSpace, cfg: &Config, _: usize| Ok(evaluate(space, cfg)));
+        self.start(
+            Driver::RUN,
+            algorithm,
+            None,
+            None,
+            Evaluators::One(&mut serial),
+        )
     }
 
     /// Resume a killed [`run`](Self::run) session from the checkpoint
@@ -547,200 +605,11 @@ impl Tuner {
     pub fn resume(
         &self,
         algorithm: &mut dyn SearchAlgorithm,
-        evaluate: impl FnMut(&ParamSpace, &Config) -> (f64, HashMap<String, f64>),
-    ) -> Result<TuneReport, TuneError> {
-        let (tuner, session, restored) = self.load_session("run", algorithm, None)?;
-        tuner.run_impl(algorithm, evaluate, Some(session), Some(restored))
-    }
-
-    /// [`run`](Self::run) through a stateful [`BatchEvaluator`] instead of
-    /// a closure: the evaluator's reusable state (e.g. an arena) survives
-    /// across evaluations, amortizing all per-evaluation setup.
-    ///
-    /// The report is byte-identical to [`run`](Self::run) with an
-    /// equivalent closure — the loop, cache accounting, spans and WAL
-    /// records are shared. A session checkpointed here resumes via
-    /// [`resume`](Self::resume) (with a closure) or by calling this again
-    /// after [`checkpoint`](Self::checkpoint) — the WAL does not record how
-    /// evaluations were dispatched.
-    ///
-    /// # Errors
-    /// As [`run`](Self::run).
-    pub fn run_with(
-        &self,
-        algorithm: &mut dyn SearchAlgorithm,
-        evaluator: &mut dyn BatchEvaluator,
-    ) -> Result<TuneReport, TuneError> {
-        let session = self.open_session("run", algorithm, None, None)?;
-        self.run_impl(
-            algorithm,
-            |space, cfg| evaluator.evaluate(space, cfg),
-            session,
-            None,
-        )
-    }
-
-    fn run_impl(
-        &self,
-        algorithm: &mut dyn SearchAlgorithm,
         mut evaluate: impl FnMut(&ParamSpace, &Config) -> (f64, HashMap<String, f64>),
-        mut session: Option<ActiveSession>,
-        restored: Option<RestoredState>,
     ) -> Result<TuneReport, TuneError> {
-        self.preflight()?;
-        let mut profile = ProfileBuilder::new();
-        let mut root = self.open_root("tuner.run", algorithm.name());
-        let (mut db, prior_len, mut cache, mut stats, mut rng, mut consecutive_dups) =
-            self.loop_state(restored);
-        // Fresh sessions snapshot their starting state immediately, so a
-        // resume target exists before the first evaluation completes.
-        checkpoint_tick(
-            &mut session,
-            &db,
-            &cache,
-            stats,
-            &rng,
-            consecutive_dups,
-            &*algorithm,
-            None,
-            || None,
-        )?;
-        while db.len() - prior_len < self.max_evals {
-            let t_suggest = Instant::now();
-            let suggestion = algorithm.suggest(&self.space, &db, &mut rng);
-            profile.sample("suggest", t_suggest.elapsed().as_secs_f64());
-            let Some(cfg) = suggestion else {
-                break; // strategy exhausted (e.g. grid complete)
-            };
-            self.check_valid(algorithm, &cfg)?;
-            if cache.contains_key(&cfg) {
-                stats.hits += 1;
-                if let Some(root) = root.as_mut() {
-                    root.event_with(
-                        "cache_hit",
-                        vec![(
-                            "config".to_string(),
-                            AttrValue::Str(config_fingerprint(&cfg)),
-                        )],
-                    );
-                }
-                consecutive_dups += 1;
-                if consecutive_dups >= self.max_consecutive_duplicates {
-                    break;
-                }
-                continue;
-            }
-            consecutive_dups = 0;
-            stats.misses += 1;
-            let replayed = match session.as_mut() {
-                Some(s) => s.replay_next(&cfg)?,
-                None => None,
-            };
-            let (objective, aux) = match replayed {
-                Some(rec) => {
-                    // Answered from the WAL: no evaluator call, but the
-                    // profile keeps its one-sample-per-miss invariant.
-                    profile.sample("evaluate", 0.0);
-                    let Some(objective) = rec.objective else {
-                        return Err(TuneError::Checkpoint {
-                            detail: format!(
-                                "record {} has no objective, but the fault-free driver never \
-                                 quarantines",
-                                rec.ordinal
-                            ),
-                        });
-                    };
-                    (objective, rec.aux)
-                }
-                None => {
-                    let mut span = root.as_ref().map(|r| {
-                        let mut s = r.child("eval");
-                        s.attr("worker", 0usize);
-                        s.attr("config", config_fingerprint(&cfg));
-                        s
-                    });
-                    let t_eval = Instant::now();
-                    let (objective, aux) = evaluate(&self.space, &cfg);
-                    profile.sample("evaluate", t_eval.elapsed().as_secs_f64());
-                    if let Some(s) = span.as_mut() {
-                        s.attr("objective", objective);
-                    }
-                    drop(span);
-                    if let Some(s) = session.as_mut() {
-                        s.log(&EvalRecord {
-                            ordinal: s.next_ordinal(),
-                            config: cfg.clone(),
-                            objective: Some(objective),
-                            aux: aux.clone(),
-                            events: Vec::new(),
-                            failed_attempts: 0,
-                            backoff_s: 0.0,
-                        })?;
-                    }
-                    (objective, aux)
-                }
-            };
-            cache.insert(cfg.clone(), (objective, aux.clone()));
-            db.record(cfg, objective, aux);
-            checkpoint_tick(
-                &mut session,
-                &db,
-                &cache,
-                stats,
-                &rng,
-                consecutive_dups,
-                &*algorithm,
-                None,
-                || None,
-            )?;
-        }
-        if let Some(s) = session.as_mut() {
-            s.finish()?;
-        }
-        let report = self.report(algorithm, db, prior_len, stats, profile);
-        if let (Some(root), Ok(report)) = (root.as_mut(), &report) {
-            root.attr("evals", report.evals);
-            root.attr("best_objective", report.best_objective);
-        }
-        report
-    }
-
-    /// Loop state for a driver: either rebuilt from a restored snapshot or
-    /// initialized fresh from the tuner's settings.
-    pub(crate) fn loop_state(
-        &self,
-        restored: Option<RestoredState>,
-    ) -> (
-        PerfDatabase,
-        usize,
-        HashMap<Config, Evaluation>,
-        CacheStats,
-        SmallRng,
-        usize,
-    ) {
-        match restored {
-            Some(r) => (
-                r.db,
-                r.prior_len,
-                r.cache,
-                r.stats,
-                r.rng,
-                r.consecutive_dups,
-            ),
-            None => {
-                let db = self.warm_start.clone().unwrap_or_default();
-                let prior_len = db.len();
-                let cache = self.prior_cache(&db);
-                (
-                    db,
-                    prior_len,
-                    cache,
-                    CacheStats::default(),
-                    SmallRng::seed_from_u64(self.seed),
-                    0,
-                )
-            }
-        }
+        let mut serial =
+            Serial(|space: &ParamSpace, cfg: &Config, _: usize| Ok(evaluate(space, cfg)));
+        self.resume_as(Driver::RUN, algorithm, None, Evaluators::One(&mut serial))
     }
 
     /// Run the loop with batched suggestions and a pool of `workers` threads
@@ -782,8 +651,7 @@ impl Tuner {
     /// ```
     ///
     /// # Errors
-    /// [`TuneError::NoEvaluations`] when the algorithm proposes nothing and
-    /// there is no warm-start prior to fall back on.
+    /// As [`run`](Self::run).
     ///
     /// # Panics
     /// Panics on zero workers.
@@ -793,12 +661,13 @@ impl Tuner {
         workers: usize,
         evaluate: impl Fn(&ParamSpace, &Config) -> (f64, HashMap<String, f64>) + Sync,
     ) -> Result<TuneReport, TuneError> {
-        let session = self.open_session("run_parallel", algorithm, None, None)?;
-        self.run_parallel_impl(
+        let attempt = |space: &ParamSpace, cfg: &Config, _: usize| Ok(evaluate(space, cfg));
+        self.start(
+            Driver::RUN_PARALLEL,
             algorithm,
-            EvalDispatch::Pool { workers, evaluate },
-            session,
             None,
+            None,
+            Evaluators::Pool(workers, &attempt),
         )
     }
 
@@ -818,27 +687,29 @@ impl Tuner {
         workers: usize,
         evaluate: impl Fn(&ParamSpace, &Config) -> (f64, HashMap<String, f64>) + Sync,
     ) -> Result<TuneReport, TuneError> {
-        let (tuner, session, restored) = self.load_session("run_parallel", algorithm, None)?;
-        tuner.run_parallel_impl(
+        let attempt = |space: &ParamSpace, cfg: &Config, _: usize| Ok(evaluate(space, cfg));
+        self.resume_as(
+            Driver::RUN_PARALLEL,
             algorithm,
-            EvalDispatch::Pool { workers, evaluate },
-            Some(session),
-            Some(restored),
+            None,
+            Evaluators::Pool(workers, &attempt),
         )
     }
 
     /// [`run_parallel`](Self::run_parallel) through a stateful
-    /// [`BatchEvaluator`]: whole `suggest_batch` proposals flow through one
-    /// amortized `evaluate_many` call per round instead of a thread pool —
-    /// the fast path when a single warm evaluator outruns N cold ones.
+    /// [`BatchEvaluator`]: each round's `suggest_batch` proposals flow
+    /// through one amortized `evaluate_many` pass instead of a thread pool
+    /// — the fast path when a single warm evaluator outruns N cold ones.
     ///
     /// The report is byte-identical to [`run_parallel`](Self::run_parallel)
-    /// with an equivalent closure (any worker count): batch composition,
-    /// recording order, cache accounting and WAL records are shared. The
-    /// trace gains one `evaluate_many` span per round (`batch` size,
-    /// evaluator `reuse_hits`) parenting that round's `eval` spans, and the
-    /// profile gains an `evaluate_many` stage alongside the per-evaluation
-    /// `evaluate` samples.
+    /// with an equivalent closure (any worker count), and a session
+    /// checkpointed here resumes via
+    /// [`resume_parallel`](Self::resume_parallel): the WAL does not record
+    /// how evaluations were dispatched. The trace gains one `evaluate_many`
+    /// span per round with live evaluations (`batch` size, evaluator
+    /// `reuse_hits`) parenting that round's `eval` spans, and the profile
+    /// an `evaluate_many` stage alongside the per-evaluation `evaluate`
+    /// samples.
     ///
     /// # Errors
     /// As [`run_parallel`](Self::run_parallel).
@@ -847,55 +718,146 @@ impl Tuner {
         algorithm: &mut dyn SearchAlgorithm,
         evaluator: &mut dyn BatchEvaluator,
     ) -> Result<TuneReport, TuneError> {
-        let session = self.open_session("run_parallel", algorithm, None, None)?;
-        let dispatch: EvalDispatch<'_, EvalFn> = EvalDispatch::Batched { evaluator };
-        self.run_parallel_impl(algorithm, dispatch, session, None)
+        self.start(
+            Driver::RUN_PARALLEL,
+            algorithm,
+            None,
+            None,
+            Evaluators::One(evaluator),
+        )
     }
 
-    fn run_parallel_impl<F>(
+    /// Open a fresh session (when checkpointing) and run the loop.
+    pub(crate) fn start(
         &self,
+        driver: Driver,
         algorithm: &mut dyn SearchAlgorithm,
-        mut dispatch: EvalDispatch<'_, F>,
+        fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
+        robustness: Option<&Robustness>,
+        evaluators: Evaluators<'_>,
+    ) -> Result<TuneReport, TuneError> {
+        let session = self.open_session(driver.name, algorithm, fallback.as_deref(), robustness)?;
+        let db = self.warm_start.clone().unwrap_or_default();
+        // Priors are memoized too: suggesting one is a hit, not a
+        // re-simulation.
+        let cache = db
+            .observations()
+            .iter()
+            .map(|o| (o.config.clone(), (o.objective, o.aux.clone())))
+            .collect();
+        let state = LoopState {
+            prior_len: db.len(),
+            db,
+            cache,
+            stats: CacheStats::default(),
+            rng: SmallRng::seed_from_u64(self.seed),
+            consecutive_dups: 0,
+            ledger: ResilientSnapshot::clean(0),
+        };
+        self.drive(
+            driver, algorithm, fallback, robustness, evaluators, session, state,
+        )
+    }
+
+    /// Reload a killed `driver` session and run the loop to completion
+    /// under the session's own settings.
+    pub(crate) fn resume_as(
+        &self,
+        driver: Driver,
+        algorithm: &mut dyn SearchAlgorithm,
+        mut fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
+        evaluators: Evaluators<'_>,
+    ) -> Result<TuneReport, TuneError> {
+        let (tuner, session, state) =
+            self.load_session(driver.name, algorithm, fallback.as_deref_mut())?;
+        let robustness = match session.meta().robustness {
+            Some(r) if driver.resilient => Some(r),
+            None if driver.resilient => {
+                return Err(TuneError::Checkpoint {
+                    detail: "session metadata carries no robustness settings".to_string(),
+                })
+            }
+            _ => None,
+        };
+        tuner.drive(
+            driver,
+            algorithm,
+            fallback,
+            robustness.as_ref(),
+            evaluators,
+            Some(session),
+            state,
+        )
+    }
+
+    /// The tuning loop behind every driver. Each round asks for proposals,
+    /// filters quarantined and duplicate ones, answers the leading fresh
+    /// ones from the WAL replay queue on resume, evaluates the rest, logs
+    /// them, records every outcome in suggestion order, and checkpoints at
+    /// the round boundary. Without `robustness` a configuration gets one
+    /// attempt and no outlier screening.
+    #[allow(clippy::too_many_arguments)]
+    fn drive(
+        &self,
+        driver: Driver,
+        algorithm: &mut dyn SearchAlgorithm,
+        mut fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
+        robustness: Option<&Robustness>,
+        mut evaluators: Evaluators<'_>,
         mut session: Option<ActiveSession>,
-        restored: Option<RestoredState>,
-    ) -> Result<TuneReport, TuneError>
-    where
-        F: Fn(&ParamSpace, &Config) -> (f64, HashMap<String, f64>) + Sync,
-    {
-        if let EvalDispatch::Pool { workers, .. } = &dispatch {
-            assert!(*workers > 0, "need at least one worker");
+        mut state: LoopState,
+    ) -> Result<TuneReport, TuneError> {
+        if let Evaluators::Pool(workers, _) = evaluators {
+            assert!(workers > 0, "need at least one worker");
         }
         self.preflight()?;
+        let resilient = robustness.is_some();
+        let retry = robustness.map_or(
+            RetryPolicy {
+                max_attempts: 1,
+                ..RetryPolicy::default()
+            },
+            |r| r.retry,
+        );
+        let fault_budget = self.max_evals.max(1) * retry.max_attempts.max(1);
+        let round = if driver.serial { 1 } else { self.batch_size };
         let mut profile = ProfileBuilder::new();
-        let mut root = self.open_root("tuner.run_parallel", algorithm.name());
-        if let Some(root) = root.as_mut() {
-            match &dispatch {
-                EvalDispatch::Pool { workers, .. } => root.attr("workers", *workers),
-                EvalDispatch::Batched { .. } => root.attr("dispatch", "batched"),
+        let mut root = self.trace.as_deref().map(|t| {
+            let mut s = t.span(driver.span);
+            s.attr("algorithm", algorithm.name());
+            s.attr("seed", self.seed);
+            s.attr("max_evals", self.max_evals);
+            match &evaluators {
+                Evaluators::Pool(workers, _) => s.attr("workers", *workers),
+                Evaluators::One(_) if driver.serial => s.attr("workers", 1usize),
+                Evaluators::One(_) => s.attr("dispatch", "batched"),
             }
-            root.attr("batch_size", self.batch_size);
-        }
-        let (mut db, prior_len, mut cache, mut stats, mut rng, mut consecutive_dups) =
-            self.loop_state(restored);
+            s.attr("batch_size", round);
+            s
+        });
+        // Fresh sessions snapshot their starting state immediately, so a
+        // resume target exists before the first evaluation completes.
         checkpoint_tick(
             &mut session,
-            &db,
-            &cache,
-            stats,
-            &rng,
-            consecutive_dups,
+            &state,
             &*algorithm,
-            None,
-            || None,
+            fallback.as_deref(),
+            resilient,
         )?;
-        // Round-reusable buffers: proposals, evaluation outputs and pool
-        // slots keep their allocations across rounds, so the steady-state
-        // loop allocates nothing per proposal.
+        // Round-reusable buffers: proposals, outcomes and pool slots keep
+        // their allocations across rounds (no per-proposal churn).
         let mut fresh: Vec<Config> = Vec::new();
-        let mut outputs: Vec<(Evaluation, f64)> = Vec::new();
-        let mut slots: Vec<SyncMutex<Option<(Evaluation, f64)>>> = Vec::new();
-        while db.len() - prior_len < self.max_evals {
-            let want = self.batch_size.min(self.max_evals - (db.len() - prior_len));
+        let mut outcomes: Vec<ConfigOutcome> = Vec::new();
+        let mut slots: Vec<SyncMutex<Option<ConfigOutcome>>> = Vec::new();
+        while state.db.len() - state.prior_len < self.max_evals {
+            let want = round.min(self.max_evals - (state.db.len() - state.prior_len));
+            let active: &mut dyn SearchAlgorithm = if state.ledger.degraded {
+                fallback
+                    .as_deref_mut()
+                    .expect("degraded only with fallback")
+            } else {
+                &mut *algorithm
+            };
             let mut proposals = {
                 let _span = root.as_ref().map(|r| {
                     let mut s = r.child("suggest_batch");
@@ -903,7 +865,7 @@ impl Tuner {
                     s
                 });
                 let t_suggest = Instant::now();
-                let proposals = algorithm.suggest_batch(&self.space, &db, &mut rng, want);
+                let proposals = active.suggest_batch(&self.space, &state.db, &mut state.rng, want);
                 profile.sample("suggest", t_suggest.elapsed().as_secs_f64());
                 proposals
             };
@@ -915,218 +877,208 @@ impl Tuner {
             // duplicate filter so every processed proposal lands in exactly
             // one cache counter (hits + misses == accepted suggestions).
             proposals.truncate(want);
-            // Filter duplicates in suggestion order, counting them toward
-            // the same consecutive-duplicate exit as the serial loop.
-            fresh.clear();
-            outputs.clear();
+            // Quarantined and duplicate proposals count toward the
+            // consecutive-duplicate exit in suggestion order.
             let mut exhausted = false;
             for cfg in proposals {
-                self.check_valid(algorithm, &cfg)?;
-                if cache.contains_key(&cfg) || fresh.contains(&cfg) {
-                    stats.hits += 1;
-                    if let Some(root) = root.as_mut() {
-                        root.event_with(
-                            "cache_hit",
-                            vec![(
-                                "config".to_string(),
-                                AttrValue::Str(config_fingerprint(&cfg)),
-                            )],
-                        );
-                    }
-                    consecutive_dups += 1;
-                    if consecutive_dups >= self.max_consecutive_duplicates {
-                        exhausted = true;
-                        break;
-                    }
+                if !self.space.is_valid(&cfg) {
+                    return Err(TuneError::Diagnostic {
+                        context: format!("algorithm {}", active.name()),
+                        diagnostics: vec![format!("suggested invalid config {cfg:?}")],
+                    });
+                }
+                let event = if state.ledger.is_quarantined(&cfg) {
+                    state.ledger.faults.record(
+                        FaultKind::QuarantineSkip,
+                        format!("eval {}", state.ledger.fresh_idx),
+                        format!("config {cfg:?} re-suggested while quarantined"),
+                    );
+                    "quarantine_skip"
+                } else if state.cache.contains_key(&cfg) || fresh.contains(&cfg) {
+                    state.stats.hits += 1;
+                    "cache_hit"
                 } else {
-                    consecutive_dups = 0;
+                    state.consecutive_dups = 0;
                     fresh.push(cfg);
+                    continue;
+                };
+                if let Some(root) = root.as_mut() {
+                    root.event_with(
+                        event,
+                        vec![(
+                            "config".to_string(),
+                            AttrValue::Str(config_fingerprint(&cfg)),
+                        )],
+                    );
+                }
+                state.consecutive_dups += 1;
+                if state.consecutive_dups >= self.max_consecutive_duplicates {
+                    exhausted = true;
+                    break;
                 }
             }
             // On resume, the round's leading configurations may already be
             // in the WAL: answer those from the replay queue, evaluate only
             // the remainder live.
-            let mut replayed: Vec<EvalRecord> = Vec::new();
             if let Some(s) = session.as_mut() {
-                while replayed.len() < fresh.len() {
-                    match s.replay_next(&fresh[replayed.len()])? {
-                        Some(rec) => replayed.push(rec),
+                while outcomes.len() < fresh.len() {
+                    match s.replay_next(&fresh[outcomes.len()])? {
+                        Some(rec) => outcomes.push(outcome_from_record(rec)?),
                         None => break,
                     }
                 }
             }
-            let replay_n = replayed.len();
-            for rec in replayed {
-                stats.misses += 1;
-                profile.sample("evaluate", 0.0);
-                let Some(objective) = rec.objective else {
-                    return Err(TuneError::Checkpoint {
-                        detail: format!(
-                            "record {} has no objective, but the fault-free driver never \
-                             quarantines",
-                            rec.ordinal
-                        ),
+            let replayed = outcomes.len();
+            let live = &fresh[replayed..];
+            let trace = self.trace.as_deref().zip(root.as_ref().map(|r| r.id()));
+            match &mut evaluators {
+                // Retry loops run inside each worker's slot; outcomes
+                // surface in suggestion order whichever worker finished
+                // first.
+                Evaluators::Pool(workers, attempt) => {
+                    fan_out(live, *workers, &mut slots, &mut outcomes, |cfg, worker| {
+                        let mut span = trace.map(|(t, parent)| {
+                            let mut s = t.child("eval", parent);
+                            s.attr("worker", worker);
+                            s.attr("config", config_fingerprint(cfg));
+                            s
+                        });
+                        let out = attempt_config(&self.space, cfg, &retry, &mut |s, c, a| {
+                            attempt(s, c, a)
+                        });
+                        if let Some(s) = span.as_mut() {
+                            out.annotate(s);
+                        }
+                        out
                     });
-                };
-                cache.insert(rec.config.clone(), (objective, rec.aux.clone()));
-                db.record(rec.config, objective, rec.aux);
-            }
-            let trace = match (self.trace.as_deref(), root.as_ref()) {
-                (Some(t), Some(r)) => Some((t, r.id())),
-                _ => None,
-            };
-            match &mut dispatch {
-                EvalDispatch::Pool { workers, evaluate } => self.evaluate_batch(
-                    &fresh[replay_n..],
-                    *workers,
-                    evaluate,
-                    trace,
-                    &mut slots,
-                    &mut outputs,
-                ),
-                EvalDispatch::Batched { evaluator } => self.evaluate_many(
-                    &fresh[replay_n..],
-                    *evaluator,
-                    trace,
-                    &mut outputs,
-                    &mut profile,
-                ),
-            }
-            for (cfg, ((objective, aux), dur_s)) in fresh.drain(replay_n..).zip(outputs.drain(..)) {
-                if let Some(s) = session.as_mut() {
-                    s.log(&EvalRecord {
-                        ordinal: s.next_ordinal(),
-                        config: cfg.clone(),
-                        objective: Some(objective),
-                        aux: aux.clone(),
-                        events: Vec::new(),
-                        failed_attempts: 0,
-                        backoff_s: 0.0,
-                    })?;
                 }
-                stats.misses += 1;
-                profile.sample("evaluate", dur_s);
-                cache.insert(cfg.clone(), (objective, aux.clone()));
-                db.record(cfg, objective, aux);
+                Evaluators::One(evaluator) if !live.is_empty() => {
+                    let mut span = trace.map(|(t, parent)| {
+                        let mut s = t.child("evaluate_many", parent);
+                        s.attr("batch", live.len());
+                        s
+                    });
+                    let reuse_before = evaluator.reuse_hits();
+                    let t_batch = Instant::now();
+                    for cfg in live {
+                        let mut eval_span = span.as_ref().map(|s| {
+                            let mut e = s.child("eval");
+                            e.attr("worker", 0usize);
+                            e.attr("config", config_fingerprint(cfg));
+                            e
+                        });
+                        let out = attempt_config(&self.space, cfg, &retry, &mut |s, c, a| {
+                            if resilient {
+                                evaluator.evaluate_attempt(s, c, a)
+                            } else {
+                                Ok(evaluator.evaluate(s, c))
+                            }
+                        });
+                        if let Some(e) = eval_span.as_mut() {
+                            out.annotate(e);
+                        }
+                        outcomes.push(out);
+                    }
+                    profile.sample("evaluate_many", t_batch.elapsed().as_secs_f64());
+                    if let Some(s) = span.as_mut() {
+                        s.attr(
+                            "reuse_hits",
+                            evaluator.reuse_hits().saturating_sub(reuse_before),
+                        );
+                    }
+                }
+                Evaluators::One(_) => {}
             }
-            // Round boundary: the only point where a parallel snapshot is
-            // consistent (mid-round the RNG has already advanced past
-            // suggestions that are not yet recorded).
+            if let Some(s) = session.as_mut() {
+                for (cfg, outcome) in live.iter().zip(&outcomes[replayed..]) {
+                    s.log(&record_from_outcome(s.next_ordinal(), cfg, outcome))?;
+                }
+            }
+            for (cfg, outcome) in fresh.drain(..).zip(outcomes.drain(..)) {
+                profile.sample("evaluate", outcome.dur_s);
+                profile.retries(outcome.retry_count());
+                let Some((objective, aux)) = state.ledger.absorb(&cfg, outcome, &retry) else {
+                    continue;
+                };
+                state.stats.misses += 1;
+                state.cache.insert(cfg.clone(), (objective, aux.clone()));
+                state.db.record(cfg, objective, aux);
+                let Some(robustness) = robustness else {
+                    continue;
+                };
+                if state
+                    .ledger
+                    .screen(robustness, &state.db, objective, fallback.is_some())
+                {
+                    let to = fallback.as_deref().map_or("?", |f| f.name());
+                    state.ledger.degraded = true;
+                    state.ledger.faults.record(
+                        FaultKind::SearchDegraded,
+                        format!("eval {}", state.db.len() - 1),
+                        format!("database poisoned; {} -> {to}", algorithm.name()),
+                    );
+                    if let Some(root) = root.as_mut() {
+                        root.event_with(
+                            "search_degraded",
+                            vec![("fallback".to_string(), AttrValue::Str(to.into()))],
+                        );
+                    }
+                }
+            }
+            // Round boundary: the only point where a snapshot is consistent
+            // (mid-round the RNG has already advanced past suggestions that
+            // are not yet recorded).
             checkpoint_tick(
                 &mut session,
-                &db,
-                &cache,
-                stats,
-                &rng,
-                consecutive_dups,
+                &state,
                 &*algorithm,
-                None,
-                || None,
+                fallback.as_deref(),
+                resilient,
             )?;
-            if exhausted {
+            if state.ledger.budget_spent(fault_budget) || exhausted {
                 break;
             }
         }
         if let Some(s) = session.as_mut() {
             s.finish()?;
         }
-        let report = self.report(algorithm, db, prior_len, stats, profile);
-        if let (Some(root), Ok(report)) = (root.as_mut(), &report) {
+        // The report names the active algorithm: the fallback's once the
+        // run degraded.
+        let active: &dyn SearchAlgorithm = if state.ledger.degraded {
+            fallback.as_deref().expect("degraded only with fallback")
+        } else {
+            &*algorithm
+        };
+        let Some(best) = state.db.best().cloned() else {
+            return Err(TuneError::NoEvaluations {
+                algorithm: active.name().to_string(),
+            });
+        };
+        // Cache attribution mirrors the canonical counters exactly, so the
+        // profile agrees with `TuneReport::cache` on every driver.
+        profile.cache_hits(state.stats.hits);
+        profile.cache_misses(state.stats.misses);
+        let report = TuneReport {
+            algorithm: active.name().to_string(),
+            // Fresh evaluations only; warm-start priors are free.
+            evals: state.db.len() - state.prior_len,
+            best_config: best.config,
+            best_objective: best.objective,
+            db: state.db,
+            cache: state.stats,
+            faults: state.ledger.faults,
+            profile: profile.finish(),
+        };
+        if let Some(root) = root.as_mut() {
             root.attr("evals", report.evals);
             root.attr("best_objective", report.best_objective);
+            root.attr("degraded", state.ledger.degraded);
         }
-        report
-    }
-
-    /// Evaluate `fresh` on up to `workers` scoped threads, appending one
-    /// `(result, duration)` per configuration to `outputs` *in suggestion
-    /// order* — recording order is therefore independent of which worker
-    /// finished first. With a trace target, each evaluation records an
-    /// `eval` span (worker id, config fingerprint, objective). `slots` and
-    /// `outputs` are caller-owned buffers recycled across rounds.
-    fn evaluate_batch(
-        &self,
-        fresh: &[Config],
-        workers: usize,
-        evaluate: &(impl Fn(&ParamSpace, &Config) -> (f64, HashMap<String, f64>) + Sync),
-        trace: Option<(&TraceCollector, SpanId)>,
-        slots: &mut Vec<SyncMutex<Option<(Evaluation, f64)>>>,
-        outputs: &mut Vec<(Evaluation, f64)>,
-    ) {
-        let eval_traced = |cfg: &Config, worker: usize| {
-            let mut span = trace.map(|(t, parent)| {
-                let mut s = t.child("eval", parent);
-                s.attr("worker", worker);
-                s.attr("config", config_fingerprint(cfg));
-                s
-            });
-            let t_eval = Instant::now();
-            let out = evaluate(&self.space, cfg);
-            let dur_s = t_eval.elapsed().as_secs_f64();
-            if let Some(s) = span.as_mut() {
-                s.attr("objective", out.0);
-            }
-            (out, dur_s)
-        };
-        fan_out(fresh, workers, slots, outputs, eval_traced);
-    }
-
-    /// Evaluate `fresh` serially through one stateful [`BatchEvaluator`],
-    /// appending `(result, duration)` pairs to `outputs` in suggestion
-    /// order. With a trace target, the whole round records an
-    /// `evaluate_many` span (`batch` size, evaluator `reuse_hits` delta)
-    /// parenting one `eval` span per configuration, and the profile gains
-    /// an `evaluate_many` sample covering the amortized call.
-    fn evaluate_many(
-        &self,
-        fresh: &[Config],
-        evaluator: &mut dyn BatchEvaluator,
-        trace: Option<(&TraceCollector, SpanId)>,
-        outputs: &mut Vec<(Evaluation, f64)>,
-        profile: &mut ProfileBuilder,
-    ) {
-        let mut span = trace.map(|(t, parent)| {
-            let mut s = t.child("evaluate_many", parent);
-            s.attr("batch", fresh.len());
-            s
-        });
-        let reuse_before = evaluator.reuse_hits();
-        let t_batch = Instant::now();
-        for cfg in fresh {
-            let mut eval_span = span.as_ref().map(|s| {
-                let mut e = s.child("eval");
-                e.attr("worker", 0usize);
-                e.attr("config", config_fingerprint(cfg));
-                e
-            });
-            let t_eval = Instant::now();
-            let out = evaluator.evaluate(&self.space, cfg);
-            let dur_s = t_eval.elapsed().as_secs_f64();
-            if let Some(e) = eval_span.as_mut() {
-                e.attr("objective", out.0);
-            }
-            outputs.push((out, dur_s));
-        }
-        profile.sample("evaluate_many", t_batch.elapsed().as_secs_f64());
-        if let Some(s) = span.as_mut() {
-            s.attr(
-                "reuse_hits",
-                evaluator.reuse_hits().saturating_sub(reuse_before),
-            );
-        }
-    }
-
-    /// Memoized results for warm-start priors (suggesting one is a hit, not
-    /// a re-simulation).
-    pub(crate) fn prior_cache(&self, db: &PerfDatabase) -> HashMap<Config, Evaluation> {
-        db.observations()
-            .iter()
-            .map(|o| (o.config.clone(), (o.objective, o.aux.clone())))
-            .collect()
+        Ok(report)
     }
 
     /// Static checks on the run's inputs, before any evaluation happens.
-    pub(crate) fn preflight(&self) -> Result<(), TuneError> {
+    fn preflight(&self) -> Result<(), TuneError> {
         if self.space.dims() == 0 {
             return Err(TuneError::Diagnostic {
                 context: "parameter space".to_string(),
@@ -1148,51 +1100,6 @@ impl Tuner {
             }
         }
         Ok(())
-    }
-
-    pub(crate) fn check_valid(
-        &self,
-        algorithm: &dyn SearchAlgorithm,
-        cfg: &Config,
-    ) -> Result<(), TuneError> {
-        if self.space.is_valid(cfg) {
-            Ok(())
-        } else {
-            Err(TuneError::Diagnostic {
-                context: format!("algorithm {}", algorithm.name()),
-                diagnostics: vec![format!("suggested invalid config {cfg:?}")],
-            })
-        }
-    }
-
-    pub(crate) fn report(
-        &self,
-        algorithm: &dyn SearchAlgorithm,
-        db: PerfDatabase,
-        prior_len: usize,
-        stats: CacheStats,
-        mut profile: ProfileBuilder,
-    ) -> Result<TuneReport, TuneError> {
-        let Some(best) = db.best().cloned() else {
-            return Err(TuneError::NoEvaluations {
-                algorithm: algorithm.name().to_string(),
-            });
-        };
-        // Cache attribution mirrors the canonical counters exactly, so the
-        // profile agrees with `TuneReport::cache` on every driver.
-        profile.cache_hits(stats.hits);
-        profile.cache_misses(stats.misses);
-        Ok(TuneReport {
-            algorithm: algorithm.name().to_string(),
-            // Fresh evaluations only; warm-start priors are free.
-            evals: db.len() - prior_len,
-            best_config: best.config,
-            best_objective: best.objective,
-            db,
-            cache: stats,
-            faults: FaultLog::default(),
-            profile: profile.finish(),
-        })
     }
 }
 
@@ -1602,7 +1509,114 @@ mod tests {
         assert_eq!(report.db.len(), 21);
     }
 
-    /// Minimal stateful evaluator for the `_with` drivers: counts its
+    /// NaN on even `x`, +inf on `y == 9`, the bowl elsewhere.
+    fn spiky(s: &ParamSpace, c: &Config) -> Evaluation {
+        match (c[0] % 2, c[1]) {
+            (_, 9) => (f64::INFINITY, HashMap::new()),
+            (0, _) => (f64::NAN, HashMap::new()),
+            _ => bowl(s, c),
+        }
+    }
+
+    /// The bowl, raised 1000x on a fifth of the space.
+    fn heavy_tailed(s: &ParamSpace, c: &Config) -> Evaluation {
+        let (o, aux) = bowl(s, c);
+        if (c[0] + c[1]).is_multiple_of(5) {
+            (1000.0 * (o + 1.0), aux)
+        } else {
+            (o, aux)
+        }
+    }
+
+    /// One result per public `run*` entry point over `f`, the pool drivers
+    /// on `workers` threads.
+    fn every_entry_point(
+        tuner: &Tuner,
+        workers: usize,
+        f: fn(&ParamSpace, &Config) -> Evaluation,
+    ) -> Vec<(&'static str, Result<TuneReport, TuneError>)> {
+        struct Fixed(fn(&ParamSpace, &Config) -> Evaluation);
+        impl BatchEvaluator for Fixed {
+            fn evaluate(&mut self, space: &ParamSpace, cfg: &Config) -> Evaluation {
+                (self.0)(space, cfg)
+            }
+        }
+        let robustness = crate::Robustness::default();
+        vec![
+            ("run", tuner.run(&mut RandomSearch::new(), f)),
+            (
+                "run_parallel",
+                tuner.run_parallel(&mut RandomSearch::new(), workers, f),
+            ),
+            (
+                "run_parallel_with",
+                tuner.run_parallel_with(&mut RandomSearch::new(), &mut Fixed(f)),
+            ),
+            (
+                "run_resilient",
+                tuner.run_resilient(&mut RandomSearch::new(), None, &robustness, |s, c, _| {
+                    Ok(f(s, c))
+                }),
+            ),
+            (
+                "run_parallel_resilient",
+                tuner.run_parallel_resilient(
+                    &mut RandomSearch::new(),
+                    None,
+                    &robustness,
+                    workers,
+                    |s, c, _| Ok(f(s, c)),
+                ),
+            ),
+        ]
+    }
+
+    #[test]
+    fn non_finite_objectives_are_quarantined_by_every_driver() {
+        let tuner = Tuner::new(space()).max_evals(20).seed(13);
+        for workers in [1, 4] {
+            for (driver, report) in every_entry_point(&tuner, workers, spiky) {
+                let report = report.unwrap_or_else(|e| panic!("{driver}/{workers}: {e}"));
+                assert_eq!(report.cache.misses, report.evals, "{driver}/{workers}");
+                assert!(
+                    report
+                        .db
+                        .observations()
+                        .iter()
+                        .all(|o| o.objective.is_finite()),
+                    "{driver}/{workers}: a non-finite objective was recorded"
+                );
+                let counts = report.faults.counts;
+                assert!(counts.quarantined > 0, "{driver}/{workers}");
+                assert!(
+                    counts.non_finite >= counts.quarantined,
+                    "{driver}/{workers}"
+                );
+            }
+            let nan: fn(&ParamSpace, &Config) -> Evaluation = |_, _| (f64::NAN, HashMap::new());
+            for (driver, report) in every_entry_point(&tuner, workers, nan) {
+                assert!(
+                    matches!(report, Err(TuneError::NoEvaluations { .. })),
+                    "{driver}/{workers}: {report:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fault_free_drivers_never_screen_outliers() {
+        let tuner = Tuner::new(space()).max_evals(40).seed(21);
+        for (driver, report) in every_entry_point(&tuner, 2, heavy_tailed) {
+            let report = report.expect("a clean objective completes");
+            if driver.contains("resilient") {
+                assert!(report.faults.counts.outliers > 0, "{driver} screens");
+            } else {
+                assert!(report.faults.is_clean(), "{driver}: {:?}", report.faults);
+            }
+        }
+    }
+
+    /// Minimal stateful evaluator for `run_parallel_with`: counts its
     /// evaluations and reports every call after the first as a reuse hit.
     struct BowlEvaluator {
         evals: usize,
@@ -1617,26 +1631,6 @@ mod tests {
         fn reuse_hits(&self) -> usize {
             self.evals.saturating_sub(1)
         }
-    }
-
-    #[test]
-    fn run_with_matches_run_byte_for_byte() {
-        let closure = Tuner::new(space())
-            .max_evals(12)
-            .seed(7)
-            .run(&mut RandomSearch::new(), bowl)
-            .unwrap();
-        let mut ev = BowlEvaluator { evals: 0 };
-        let batched = Tuner::new(space())
-            .max_evals(12)
-            .seed(7)
-            .run_with(&mut RandomSearch::new(), &mut ev)
-            .unwrap();
-        assert_eq!(ev.evals, batched.cache.misses, "one call per miss");
-        assert_eq!(
-            serde_json::to_string(&closure).unwrap(),
-            serde_json::to_string(&batched).unwrap()
-        );
     }
 
     #[test]

@@ -209,8 +209,8 @@ impl HypreCoTune {
             .run_parallel(algorithm, workers, |space, cfg| self.evaluate(space, cfg))
     }
 
-    /// A fresh arena-backed [`BatchEvaluator`] over this space, for the
-    /// `*_with` drivers ([`Tuner::run_parallel_with`] and friends).
+    /// A fresh arena-backed [`BatchEvaluator`] over this space, for
+    /// [`Tuner::run_parallel_with`].
     pub fn arena_evaluator(&self) -> HypreArenaEvaluator<'_> {
         HypreArenaEvaluator {
             cotune: self,
@@ -221,8 +221,11 @@ impl HypreCoTune {
     /// Like [`tune_parallel`](Self::tune_parallel), but through the batched
     /// SoA fast path: one warm [`EvalArena`] evaluates every proposal with
     /// all per-evaluation allocation amortized away. The report is
-    /// byte-identical to [`tune`](Self::tune) / [`tune_parallel`](Self::tune_parallel)
-    /// at a fraction of the wall-clock cost.
+    /// byte-identical to [`tune_parallel`](Self::tune_parallel) at any
+    /// worker count, at a fraction of the wall-clock cost. It matches
+    /// [`tune`](Self::tune) only where batched and serial suggestions
+    /// coincide (e.g. `RandomSearch`); `ForestSearch` ranks a top-k per
+    /// batch, so its serial and batched reports differ.
     ///
     /// # Errors
     /// [`TuneError::NoEvaluations`], as for [`tune`](Self::tune).
@@ -414,8 +417,8 @@ impl KernelCoTune {
             .run_parallel(algorithm, workers, |space, cfg| self.evaluate(space, cfg))
     }
 
-    /// A fresh arena-backed [`BatchEvaluator`] over this space, for the
-    /// `*_with` drivers ([`Tuner::run_parallel_with`] and friends).
+    /// A fresh arena-backed [`BatchEvaluator`] over this space, for
+    /// [`Tuner::run_parallel_with`].
     pub fn arena_evaluator(&self) -> KernelArenaEvaluator<'_> {
         KernelArenaEvaluator {
             cotune: self,
@@ -426,8 +429,11 @@ impl KernelCoTune {
     /// Like [`tune_parallel`](Self::tune_parallel), but through the batched
     /// SoA fast path: one warm [`EvalArena`] evaluates every proposal with
     /// all per-evaluation allocation amortized away. The report is
-    /// byte-identical to [`tune`](Self::tune) / [`tune_parallel`](Self::tune_parallel)
-    /// at a fraction of the wall-clock cost.
+    /// byte-identical to [`tune_parallel`](Self::tune_parallel) at any
+    /// worker count, at a fraction of the wall-clock cost. It matches
+    /// [`tune`](Self::tune) only where batched and serial suggestions
+    /// coincide (e.g. `RandomSearch`); `ForestSearch` ranks a top-k per
+    /// batch, so its serial and batched reports differ.
     ///
     /// # Errors
     /// [`TuneError::NoEvaluations`] if the algorithm proposes nothing.
@@ -572,6 +578,20 @@ mod tests {
             serde_json::to_string(&scalar).unwrap(),
             serde_json::to_string(&batched).unwrap(),
             "hypre co-tune reports diverge"
+        );
+        // Past the forest's 8-point initial design, over several rounds:
+        // the batched report is `tune_parallel`'s, not the serial `tune`'s.
+        let scalar = kt
+            .tune_parallel(&mut pstack_autotune::ForestSearch::new(), 20, 5, 2)
+            .unwrap();
+        let batched = kt
+            .tune_batched(&mut pstack_autotune::ForestSearch::new(), 20, 5)
+            .unwrap();
+        assert_eq!(scalar.evals, 20, "the surrogate phase ran");
+        assert_eq!(
+            serde_json::to_string(&scalar).unwrap(),
+            serde_json::to_string(&batched).unwrap(),
+            "kernel forest co-tune reports diverge"
         );
     }
 }

@@ -287,12 +287,15 @@ impl ProfileBuilder {
         }
     }
 
-    /// Record one duration sample for `stage`.
+    /// Record one duration sample for `stage`. Only a stage's first sample
+    /// allocates its name: the tuning loop samples every proposal.
     pub fn sample(&mut self, stage: &str, dur_s: f64) {
-        self.samples
-            .entry(stage.to_string())
-            .or_default()
-            .push(dur_s);
+        match self.samples.get_mut(stage) {
+            Some(samples) => samples.push(dur_s),
+            None => {
+                self.samples.insert(stage.to_string(), vec![dur_s]);
+            }
+        }
     }
 
     /// Time a closure as one sample of `stage`.

@@ -105,6 +105,12 @@ stage_perfgate() {
         --require bench_evalthroughput --require ext_thermal --require ext_new_runtimes
 }
 
+stage_perfbench() {
+    echo "== perfbench (the locked repository benchmark builds and passes its tests) =="
+    cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+    cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
+}
+
 stage_clippy() {
     echo "== cargo clippy -- -D warnings =="
     cargo clippy --workspace --all-targets -- -D warnings
@@ -115,7 +121,7 @@ stage_lint() {
     cargo run -q --release -p pstack-analyze --bin pstack_lint
 }
 
-ALL_STAGES=(fmt build test chaos resume golden perf conc history fleet chaosfleet perfgate clippy lint)
+ALL_STAGES=(fmt build test chaos resume golden perf conc history fleet chaosfleet perfgate perfbench clippy lint)
 
 list_stages() {
     for s in "${ALL_STAGES[@]}"; do
@@ -150,6 +156,7 @@ for s in "${stages[@]}"; do
         fleet) stage_fleet ;;
         chaosfleet | chaos-fleet) stage_chaosfleet ;;
         perfgate | perf-gate) stage_perfgate ;;
+        perfbench) stage_perfbench ;;
         clippy) stage_clippy ;;
         lint | pstack_lint) stage_lint ;;
         *)
