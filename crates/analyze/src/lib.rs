@@ -140,15 +140,19 @@ mod tests {
 
     #[test]
     fn rule_table_lists_the_registry_in_order() {
-        let documented: Vec<(&str, &str)> = include_str!("lib.rs")
-            .lines()
-            .filter_map(|l| l.strip_prefix("//! |"))
-            .map(|row| row.split('|').map(str::trim).collect::<Vec<_>>())
-            .filter(|cells| cells[0].starts_with("PSA"))
-            .map(|cells| (cells[0], cells[1]))
-            .collect();
+        let table = |doc: &'static str, prefix: &'static str| -> Vec<(&str, &str)> {
+            doc.lines()
+                .filter_map(|l| l.strip_prefix(prefix))
+                .map(|row| row.split('|').map(str::trim).collect::<Vec<_>>())
+                .filter(|cells| cells[0].starts_with("PSA"))
+                .map(|cells| (cells[0], cells[1]))
+                .collect()
+        };
         let registered: Vec<(&str, &str)> = registry().iter().map(|r| (r.id(), r.name())).collect();
-        assert_eq!(documented, registered, "crate-doc rule table vs registry()");
+        let crate_doc = table(include_str!("lib.rs"), "//! |");
+        assert_eq!(crate_doc, registered, "crate-doc rule table vs registry()");
+        let design = table(include_str!("../../../DESIGN.md"), "|");
+        assert_eq!(design, registered, "DESIGN.md rule table vs registry()");
     }
 
     #[test]

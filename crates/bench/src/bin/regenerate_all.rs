@@ -135,14 +135,13 @@ fn main() {
     });
     let r = pstack_bench::run_or_exit("ext_resume", r);
     pstack_bench::emit("ext_resume", &resume::render(&r), &r);
-    // The warmed-fewer-evals acceptance gate itself lives in the dedicated
-    // bench_history binary (CI `history` stage); regeneration records the
-    // artifact either way.
-    let r = pstack_bench::traced("ext_history", |_tc| {
+    // The warmed-fewer-evals acceptance gate itself runs in the bench_history
+    // binary (CI `history` stage); regeneration records its artifact either way.
+    let r = pstack_bench::traced("bench_history", |_tc| {
         pstack_bench::timed("E9", history::run_default)
     });
-    let r = pstack_bench::run_or_exit("ext_history", r);
-    pstack_bench::emit("ext_history", &history::render(&r), &r);
+    let r = pstack_bench::run_or_exit("bench_history", r);
+    pstack_bench::emit("bench_history", &history::render(&r), &r);
 
     println!(
         "\nall artifacts written to {}/",

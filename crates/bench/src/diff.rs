@@ -230,8 +230,6 @@ pub fn shipped_rules() -> Vec<MetricRule> {
             MinRatio(0.2),
         ),
         // Extension artifacts: pure simulation, everything deterministic.
-        rule("ext_history", "rows.*.warmed_fewer", Exact),
-        rule("ext_history", "rows.*.best_objective", Exact),
         rule("ext_emergency", "rows.*.makespan_s", Exact),
         rule("ext_emergency", "rows.*.violation_w", Exact),
         rule("ext_emergency", "rows.*.energy_j", Exact),

@@ -6,9 +6,9 @@
 //! dump under `results/`. The `regenerate_all` binary runs everything —
 //! its output is the source of EXPERIMENTS.md.
 //!
-//! The Criterion benches in `benches/` measure the simulator's own hot
-//! paths (node stepping, job execution, search algorithms) so performance
-//! regressions in the substrate are caught like any other bug.
+//! The `bench_*` binaries time the simulator's own fast paths and
+//! `bench_diff` gates their artifacts; host-speed measurement of record is
+//! the standalone `perfbench/` package.
 
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 

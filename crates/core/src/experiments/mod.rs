@@ -205,7 +205,6 @@ pub fn artifact_registry() -> Vec<ArtifactInfo> {
         ArtifactInfo::traced("ext_emergency"),
         ArtifactInfo::traced("ext_faults"),
         ArtifactInfo::traced("ext_fleetfaults"),
-        ArtifactInfo::traced("ext_history"),
         ArtifactInfo::traced("ext_new_runtimes"),
         ArtifactInfo::traced("ext_resume"),
         ArtifactInfo::traced("ext_thermal"),
@@ -233,7 +232,7 @@ mod manifest_tests {
     #[test]
     fn artifact_registry_names_unique_and_sorted() {
         let reg = artifact_registry();
-        assert_eq!(reg.len(), 29);
+        assert_eq!(reg.len(), 28);
         let names: Vec<&str> = reg.iter().map(|a| a.bin).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();

@@ -10,11 +10,12 @@
 //! boundaries the application declared safe, and only to node counts the
 //! application's constraint allows (e.g. LULESH's cubic rule).
 
+use crate::decision::{Decision, DecisionLog};
 use pstack_apps::epop::EpopApp;
 use pstack_apps::MpiModel;
 use pstack_node::{NodeManager, Signal};
 use pstack_runtime::{ArbiterMode, JobRunner};
-use pstack_sim::{SeedTree, SimDuration, SimTime, TraceRecorder};
+use pstack_sim::{SeedTree, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// The corridor-enforcement strategy.
@@ -75,7 +76,7 @@ pub struct Irm {
     now: SimTime,
     seeds: SeedTree,
     mpi: MpiModel,
-    trace: TraceRecorder,
+    log: DecisionLog,
     in_corridor: usize,
     upper_violations: usize,
     lower_violations: usize,
@@ -112,7 +113,7 @@ impl Irm {
             now: SimTime::ZERO,
             seeds,
             mpi: MpiModel::typical(),
-            trace: TraceRecorder::new(),
+            log: DecisionLog::default(),
             in_corridor: 0,
             upper_violations: 0,
             lower_violations: 0,
@@ -135,13 +136,8 @@ impl Irm {
         assert!(n_nodes <= self.idle.len(), "not enough idle nodes");
         let split = self.idle.len() - n_nodes;
         let nodes = self.idle.split_off(split);
-        self.trace.record(
-            self.now,
-            "irm",
-            "job_launch",
-            n_nodes as f64,
-            app.name().to_string(),
-        );
+        let launch = Decision::JobLaunch { nodes: n_nodes };
+        self.log.record(self.now, launch);
         self.jobs.push(IrmJob {
             app,
             block: 0,
@@ -153,9 +149,10 @@ impl Irm {
         });
     }
 
-    /// The event trace (power series, redistribution events).
-    pub fn trace(&self) -> &TraceRecorder {
-        &self.trace
+    /// The decision log: launches, every power sample, redistributions,
+    /// caps and frequency limits, in emission order.
+    pub fn trace(&self) -> &DecisionLog {
+        &self.log
     }
 
     /// Current simulated time.
@@ -241,7 +238,8 @@ impl Irm {
 
         // Sample power against the corridor and steer.
         let p = self.system_power_w();
-        self.trace.record(self.now, "irm", "system_power", p, "");
+        self.log
+            .record(self.now, Decision::SystemPower { watts: p });
         self.samples += 1;
         let (lo, hi) = self.corridor;
         if p > hi {
@@ -277,14 +275,6 @@ impl Irm {
                             }
                         }
                         job.nodes.append(&mut extra);
-                        self.redistributions += 1;
-                        self.trace.record(
-                            now,
-                            "irm",
-                            "redistribute",
-                            target as f64,
-                            format!("grow {} -> {}", current, target),
-                        );
                     }
                 } else if target < current {
                     let mut released = job.nodes.split_off(target);
@@ -296,14 +286,11 @@ impl Irm {
                         }
                     }
                     self.released_this_step.append(&mut released);
+                }
+                let (from, to) = (current, job.nodes.len());
+                if to != from {
                     self.redistributions += 1;
-                    self.trace.record(
-                        now,
-                        "irm",
-                        "redistribute",
-                        target as f64,
-                        format!("shrink {} -> {}", current, target),
-                    );
+                    self.log.record(now, Decision::Redistribute { from, to });
                 }
                 job.pending_resize = None;
             }
@@ -380,8 +367,8 @@ impl Irm {
                                 nm.set_power_limit(now, per_node, window);
                             }
                         }
-                        self.trace
-                            .record(self.now, "irm", "power_cap", per_node, "per-node cap");
+                        let cap = Decision::PowerCap { node_w: per_node };
+                        self.log.record(self.now, cap);
                     }
                 }
                 // A lower-bound violation cannot be fixed by capping.
@@ -400,8 +387,7 @@ impl Irm {
                         nm.set_freq_limit_ghz(ghz);
                     }
                 }
-                self.trace
-                    .record(self.now, "irm", "dvfs", ghz, "fleet freq limit");
+                self.log.record(self.now, Decision::Dvfs { ghz });
             }
         }
     }
@@ -522,8 +508,8 @@ mod tests {
         irm.launch(EpopApp::lulesh_like(600.0, 20), 27);
         let r = irm.run(SimDuration::from_secs(1), SimTime::from_secs(4000));
         // Any redistribution must land on cubes: check the trace values.
-        for e in irm.trace().of_kind("redistribute") {
-            let n = e.value as usize;
+        for (_, d) in irm.trace().of_kind("redistribute") {
+            let n = d.value() as usize;
             assert!(
                 NodeCountRule::Cube.allows(n),
                 "redistributed to non-cube {n}"

@@ -12,8 +12,9 @@
 //!   nodes among malleable EPOP applications, with power capping and DVFS as
 //!   fallback strategies.
 //!
-//! Shared pieces: [`spec`] (job specifications and runtime-attachment kinds)
-//! and [`policy`] (site/system power policies).
+//! Shared pieces: [`spec`] (job specifications and runtime-attachment kinds),
+//! [`policy`] (site/system power policies) and [`decision`] (the typed log
+//! of what both managers decided).
 //!
 //! The scheduler drains either per-tick (the reference oracle) or
 //! event-driven over [`events::EventHeap`]; [`fleet`] composes independent
@@ -22,6 +23,7 @@
 
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
+pub mod decision;
 pub mod events;
 pub mod fleet;
 pub mod invariants;
@@ -30,6 +32,7 @@ pub mod policy;
 pub mod scheduler;
 pub mod spec;
 
+pub use decision::{Decision, DecisionLog};
 pub use events::{EventHeap, EventKind, ScheduledEvent};
 pub use fleet::{shard_budgets, Enclave, EnclaveSet, SiteMetrics};
 pub use invariants::invariants;

@@ -38,6 +38,7 @@
 //! have made. `tests/event_equivalence.rs` proves this over a proptest grid
 //! of seeds, quanta and arrival patterns, including the fig1/fig3 workloads.
 
+use crate::decision::{Decision, DecisionLog};
 use crate::events::{EventHeap, EventKind};
 use crate::policy::{PowerAssignment, SystemPowerPolicy};
 use crate::spec::{JobId, JobSpec};
@@ -45,7 +46,7 @@ use pstack_apps::MpiModel;
 use pstack_node::{NodeManager, Signal};
 use pstack_runtime::geopm::{Endpoint, PolicyUpdate};
 use pstack_runtime::{ArbiterMode, GeopmPolicy, JobRunner, RuntimeAgent};
-use pstack_sim::{SeedTree, SimDuration, SimTime, TraceRecorder};
+use pstack_sim::{SeedTree, SimDuration, SimTime};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 
@@ -205,7 +206,7 @@ pub struct Scheduler {
     policy: SystemPowerPolicy,
     mpi: MpiModel,
     seeds: SeedTree,
-    trace: TraceRecorder,
+    log: DecisionLog,
     rejected: Vec<JobId>,
     allocated_node_seconds: f64,
     /// Node power floor for viable FairShare admission, watts per node.
@@ -276,7 +277,7 @@ impl Scheduler {
             policy,
             mpi: MpiModel::typical(),
             seeds,
-            trace: TraceRecorder::new(),
+            log: DecisionLog::default(),
             rejected: Vec::new(),
             allocated_node_seconds: 0.0,
             min_viable_node_w: 180.0,
@@ -453,9 +454,10 @@ impl Scheduler {
         self.idle_fast_forwarded
     }
 
-    /// The event trace (job starts/ends, power decisions).
-    pub fn trace(&self) -> &TraceRecorder {
-        &self.trace
+    /// The decision log: every submit, launch, backfill, pause, budget
+    /// change, fault and completion, in emission order.
+    pub fn trace(&self) -> &DecisionLog {
+        &self.log
     }
 
     /// The pending event heap (diagnostics, checkpointing).
@@ -485,25 +487,17 @@ impl Scheduler {
     pub fn cancel(&mut self, id: JobId) -> bool {
         if let Some(pos) = self.queue.iter().position(|j| j.id == id) {
             self.queue.remove(pos);
-            self.trace.record(
-                self.now,
-                "rm",
-                "job_cancel",
-                id.0 as f64,
-                format!("{id} cancelled while queued"),
-            );
+            let running = false;
+            self.log
+                .record(self.now, Decision::JobCancel { job: id, running });
             self.sched_dirty = true;
             return true;
         }
         if let Some(pos) = self.running.iter().position(|j| j.spec.id == id) {
             let job = self.running.remove(pos);
-            self.trace.record(
-                self.now,
-                "rm",
-                "job_cancel",
-                id.0 as f64,
-                format!("{id} cancelled while running"),
-            );
+            let running = true;
+            self.log
+                .record(self.now, Decision::JobCancel { job: id, running });
             for mut nm in job.nodes {
                 // The runtime never ran its on_job_end: reset everything.
                 nm.reset_all_knobs();
@@ -522,13 +516,12 @@ impl Scheduler {
     /// Submit a job (enqueued in arrival order). Its arrival enters the
     /// event heap so the event-driven drain wakes exactly at submit time.
     pub fn submit(&mut self, spec: JobSpec) {
-        self.trace.record(
-            self.now.max(spec.submit),
-            "rm",
-            "job_submit",
-            spec.id.0 as f64,
-            format!("{} min={} max={}", spec.id, spec.min_nodes, spec.max_nodes),
-        );
+        let submit = Decision::JobSubmit {
+            job: spec.id,
+            min_nodes: spec.min_nodes,
+            max_nodes: spec.max_nodes,
+        };
+        self.log.record(self.now.max(spec.submit), submit);
         self.events.push(spec.submit, EventKind::Arrival(spec.id));
         self.sched_dirty = true;
         self.submitted += 1;
@@ -692,13 +685,8 @@ impl Scheduler {
         self.policy.system_budget_w = budget_w;
         self.sched_dirty = true;
         self.invalidate_accounting();
-        self.trace.record(
-            self.now,
-            "rm",
-            "budget_change",
-            budget_w.unwrap_or(f64::NAN),
-            format!("{response:?}"),
-        );
+        let change = Decision::BudgetChange { budget_w, response };
+        self.log.record(self.now, change);
         let Some(budget) = budget_w else {
             self.resume_paused();
             return;
@@ -718,13 +706,7 @@ impl Scheduler {
                     victim.paused = Some(victim.reservation_w);
                     let id = victim.spec.id;
                     self.invalidate_accounting();
-                    self.trace.record(
-                        self.now,
-                        "rm",
-                        "job_pause",
-                        id.0 as f64,
-                        format!("{id} paused by power emergency"),
-                    );
+                    self.log.record(self.now, Decision::JobPause(id));
                 }
                 self.resume_paused();
             }
@@ -831,13 +813,7 @@ impl Scheduler {
             job.paused = None;
             let id = job.spec.id;
             self.invalidate_accounting();
-            self.trace.record(
-                self.now,
-                "rm",
-                "job_resume",
-                id.0 as f64,
-                format!("{id} resumed"),
-            );
+            self.log.record(self.now, Decision::JobResume(id));
         }
     }
 
@@ -1013,16 +989,13 @@ impl Scheduler {
             .iter()
             .map(|nm| nm.read(Signal::NodeEnergyJoules))
             .sum();
-        self.trace.record(
-            self.now,
-            "rm",
-            "job_start",
-            spec.id.0 as f64,
-            format!(
-                "{} on {} nodes, reservation {:.0} W, budget {:?}",
-                spec.id, n, reservation_w, budget_w
-            ),
-        );
+        let start = Decision::JobStart {
+            job: spec.id,
+            nodes: n,
+            reservation_w,
+            budget_w,
+        };
+        self.log.record(self.now, start);
         // Same conservative estimate the backfill pass uses for unstarted
         // jobs: workload at reference speed with 50% margin.
         let predicted_end = self.now + SimDuration::from_secs_f64(total_work * 1.5);
@@ -1088,13 +1061,7 @@ impl Scheduler {
             if !self.feasible(&head) {
                 self.queue.pop_front();
                 self.rejected.push(head.id);
-                self.trace.record(
-                    self.now,
-                    "rm",
-                    "job_reject",
-                    head.id.0 as f64,
-                    format!("{} infeasible under policy", head.id),
-                );
+                self.log.record(self.now, Decision::JobReject(head.id));
                 continue;
             }
             match self.try_admit(&head) {
@@ -1158,13 +1125,7 @@ impl Scheduler {
             if est <= shadow {
                 if let Some((n, r, b)) = self.try_admit(&cand) {
                     self.queue.remove(i);
-                    self.trace.record(
-                        self.now,
-                        "rm",
-                        "backfill",
-                        cand.id.0 as f64,
-                        format!("{}", cand.id),
-                    );
+                    self.log.record(self.now, Decision::Backfill(cand.id));
                     self.launch(cand, n, r, b);
                     continue;
                 }
@@ -1235,13 +1196,11 @@ impl Scheduler {
                     job_budget_w: share,
                 },
             });
-            self.trace.record(
-                now,
-                "rm",
-                "power_reassign",
-                share,
-                format!("{} budget -> {share:.0} W", job.spec.id),
-            );
+            let reassign = Decision::PowerReassign {
+                job: job.spec.id,
+                budget_w: share,
+            };
+            self.log.record(now, reassign);
         }
         // New reservations change admission headroom: re-plan at this tick.
         self.sched_dirty = true;
@@ -1280,24 +1239,15 @@ impl Scheduler {
                 EventKind::JobFail(id) => self.fail_job(id),
                 EventKind::CapStick { node, until } => {
                     self.stuck_caps.insert(node, until);
-                    self.trace.record(
-                        self.now,
-                        "rm",
-                        "cap_stick",
-                        node as f64,
-                        format!("node{node} cap actuator stuck until {until:?}"),
-                    );
+                    self.log
+                        .record(self.now, Decision::CapStick { node, until });
                 }
                 EventKind::TelemetryDropout { until } => {
                     self.telemetry_dropouts += 1;
                     self.telemetry_blackout_until = self.telemetry_blackout_until.max(until);
-                    self.trace.record(
-                        self.now,
-                        "rm",
-                        "telemetry_dropout",
-                        self.telemetry_dropouts as f64,
-                        format!("aggregation tree dropping samples until {until:?}"),
-                    );
+                    let count = self.telemetry_dropouts;
+                    let dropout = Decision::TelemetryDropout { count, until };
+                    self.log.record(self.now, dropout);
                 }
                 EventKind::Arrival(_) => {
                     self.sched_dirty = true;
@@ -1322,13 +1272,7 @@ impl Scheduler {
             // Bring the deferred idle physics current before the power-off:
             // the energy consumed up to the crash instant is real.
             self.idle_fast_forwarded += Self::catch_up_idle(&mut slot, now, quantum);
-            self.trace.record(
-                now,
-                "rm",
-                "node_fail",
-                node as f64,
-                format!("node{node} failed while idle"),
-            );
+            self.log.record(now, Decision::NodeFail { node, job: None });
             self.down.push(slot);
             self.sched_dirty = true;
             self.invalidate_accounting();
@@ -1342,13 +1286,9 @@ impl Scheduler {
             return;
         };
         let job = self.running.remove(pos);
-        self.trace.record(
-            now,
-            "rm",
-            "node_fail",
-            node as f64,
-            format!("node{node} failed under {}", job.spec.id),
-        );
+        let job_id = Some(job.spec.id);
+        self.log
+            .record(now, Decision::NodeFail { node, job: job_id });
         self.kill_running(job, Some(node));
     }
 
@@ -1361,13 +1301,7 @@ impl Scheduler {
         let mut slot = self.down.remove(pos);
         slot.nm.reset_all_knobs();
         slot.synced_to = self.now;
-        self.trace.record(
-            self.now,
-            "rm",
-            "node_recover",
-            node as f64,
-            format!("node{node} rebooted into the idle pool"),
-        );
+        self.log.record(self.now, Decision::NodeRecover { node });
         self.idle.push(slot);
         self.sched_dirty = true;
         self.invalidate_accounting();
@@ -1387,13 +1321,9 @@ impl Scheduler {
     /// and the spec is requeued or permanently failed by its retry budget.
     fn kill_running(&mut self, job: RunningJob, crashed: Option<usize>) {
         let id = job.spec.id;
-        self.trace.record(
-            self.now,
-            "rm",
-            "job_kill",
-            id.0 as f64,
-            format!("{id} killed ({} nodes, work lost)", job.nodes.len()),
-        );
+        let nodes = job.nodes.len();
+        self.log
+            .record(self.now, Decision::JobKill { job: id, nodes });
         for mut nm in job.nodes {
             if Some(nm.id().0) == crashed {
                 // Knobs reset at reboot, not here: the node is dead.
@@ -1424,31 +1354,14 @@ impl Scheduler {
         let id = spec.id;
         if attempts < self.max_job_retries {
             self.retries.insert(id.0, attempts + 1);
-            self.trace.record(
-                self.now,
-                "rm",
-                "job_requeue",
-                id.0 as f64,
-                format!(
-                    "{id} requeued, attempt {}/{}",
-                    attempts + 1,
-                    self.max_job_retries
-                ),
-            );
+            let attempt = attempts + 1;
+            self.log
+                .record(self.now, Decision::JobRequeue { job: id, attempt });
             self.events.push(self.now, EventKind::Arrival(id));
             self.queue.push_back(spec);
         } else {
             self.failed.push(id);
-            self.trace.record(
-                self.now,
-                "rm",
-                "job_fail",
-                id.0 as f64,
-                format!(
-                    "{id} failed permanently: retry budget {} exhausted",
-                    self.max_job_retries
-                ),
-            );
+            self.log.record(self.now, Decision::JobFail(id));
         }
     }
 
@@ -1532,13 +1445,7 @@ impl Scheduler {
                     .map(|nm| nm.read(Signal::NodeEnergyJoules))
                     .sum();
                 let end_time = job.runner.completed_at().expect("complete");
-                self.trace.record(
-                    end_time,
-                    "rm",
-                    "job_end",
-                    job.spec.id.0 as f64,
-                    format!("{}", job.spec.id),
-                );
+                self.log.record(end_time, Decision::JobEnd(job.spec.id));
                 self.events
                     .push(self.now, EventKind::Completion(job.spec.id));
                 self.records.push(JobRecord {
@@ -2124,21 +2031,20 @@ mod tests {
             "reassignment events: {}",
             reassigns.len()
         );
-        let last_job1 = reassigns
-            .iter()
-            .rev()
-            .find(|e| e.detail.starts_with("job1"))
-            .expect("job1 reassigned");
-        let last_job2 = reassigns
-            .iter()
-            .rev()
-            .find(|e| e.detail.starts_with("job2"))
-            .expect("job2 reassigned");
+        let last_budget = |id: u64| {
+            reassigns
+                .iter()
+                .rev()
+                .find_map(|(_, d)| match *d {
+                    Decision::PowerReassign { job, budget_w } if job == JobId(id) => Some(budget_w),
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("job{id} reassigned"))
+        };
+        let (last_job1, last_job2) = (last_budget(1), last_budget(2));
         assert!(
-            last_job1.value > last_job2.value,
-            "compute job should end with the larger budget: {} vs {}",
-            last_job1.value,
-            last_job2.value
+            last_job1 > last_job2,
+            "compute job should end with the larger budget: {last_job1} vs {last_job2}"
         );
     }
 

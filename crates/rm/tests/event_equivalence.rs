@@ -3,7 +3,8 @@
 //! The event-driven drain ([`Scheduler::run_until`]) must produce **byte
 //! identical** results to the retired per-tick loop (kept as
 //! [`Scheduler::run_until_drained_per_tick`], the oracle): same `JobRecord`
-//! stream, same energy accounting to the last mantissa bit, same metrics.
+//! stream, same decision log row for row, same energy accounting to the
+//! last mantissa bit, same metrics.
 //! A proptest grid sweeps (seed × quantum × arrival pattern × power policy ×
 //! budget-change script); deterministic tests pin the fig1/fig3 workload
 //! shapes with their published seeds; a long-idle case pins the deferred
@@ -19,7 +20,7 @@ use pstack_node::NodeManager;
 use pstack_rm::policy::{PowerAssignment, SystemPowerPolicy};
 use pstack_rm::scheduler::{EmergencyResponse, JobRecord, NodeSelection, Scheduler};
 use pstack_rm::spec::{AgentKind, JobSpec};
-use pstack_rm::EventHeap;
+use pstack_rm::{DecisionLog, EventHeap};
 use pstack_runtime::GeopmPolicy;
 use pstack_sim::{SeedTree, SimDuration, SimTime};
 use rand::Rng;
@@ -170,6 +171,20 @@ fn assert_records_identical(event: &[JobRecord], tick: &[JobRecord]) {
     }
 }
 
+/// Row-for-row comparison of two decision logs: time, kind, value by
+/// `to_bits`, and the whole decision, which carries the ids.
+fn assert_logs_identical(event: &DecisionLog, tick: &DecisionLog) {
+    let (event, tick) = (event.rows(), tick.rows());
+    assert_eq!(event.len(), tick.len(), "decision log lengths");
+    for (i, ((ta, a), (tb, b))) in event.iter().zip(tick).enumerate() {
+        assert_eq!(
+            (ta, a.kind(), a.value().to_bits(), a),
+            (tb, b.kind(), b.value().to_bits(), b),
+            "decision row {i}"
+        );
+    }
+}
+
 fn assert_engines_agree(sc: &Scenario, horizon_s: u64) {
     let quantum = SimDuration::from_millis(sc.quantum_ms);
     let horizon = SimTime::from_secs(horizon_s);
@@ -180,6 +195,7 @@ fn assert_engines_agree(sc: &Scenario, horizon_s: u64) {
     tick.run_until_drained_per_tick(quantum, horizon);
 
     assert_records_identical(event.records(), tick.records());
+    assert_logs_identical(event.trace(), tick.trace());
     assert_eq!(event.rejected(), tick.rejected(), "rejected sets");
     assert_eq!(event.failed(), tick.failed(), "permanently failed sets");
     assert_eq!(event.down_nodes(), tick.down_nodes(), "down pools");
@@ -399,6 +415,7 @@ fn retroactive_budget_change_mid_drain_agrees_across_engines() {
     tick.run_until_drained_per_tick(quantum, horizon);
 
     assert_records_identical(event.records(), tick.records());
+    assert_logs_identical(event.trace(), tick.trace());
     assert_eq!(
         event.system_energy_j().to_bits(),
         tick.system_energy_j().to_bits(),
@@ -468,6 +485,7 @@ fn long_idle_fast_forward_matches_per_tick_oracle() {
 
         let what = format!("quantum {quantum}");
         assert_records_identical(event.records(), tick.records());
+        assert_logs_identical(event.trace(), tick.trace());
         assert_eq!(event.records().len(), 10, "{what}: every job completes");
         assert_eq!(event.rejected(), tick.rejected(), "{what}: rejected sets");
         assert_eq!(event.now(), tick.now(), "{what}: final clocks");
@@ -533,6 +551,7 @@ fn kill_at_decile_resume_round_trips_event_heap() {
     segmented.run_until_drained(quantum, horizon);
 
     assert_records_identical(segmented.records(), reference.records());
+    assert_logs_identical(segmented.trace(), reference.trace());
     assert_eq!(
         segmented.system_energy_j().to_bits(),
         reference.system_energy_j().to_bits(),

@@ -85,7 +85,7 @@ fn main() {
                 .trace()
                 .of_kind("redistribute")
                 .take(6)
-                .map(|e| format!("t={:.0}s {}", e.time.as_secs_f64(), e.detail))
+                .map(|(t, d)| format!("t={:.0}s {d:?}", t.as_secs_f64()))
                 .collect();
             println!("  first redistribution events: {}", events.join("; "));
         }
