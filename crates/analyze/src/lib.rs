@@ -156,6 +156,44 @@ mod tests {
     }
 
     #[test]
+    fn lock_table_lists_the_shipped_hierarchy_in_order() {
+        // DESIGN.md's table: site, kind, rank and may-acquire columns.
+        let design: Vec<Vec<&str>> = include_str!("../../../DESIGN.md")
+            .lines()
+            .skip_while(|l| !l.starts_with("| site | kind | rank | may acquire |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(|row| row.split('|').map(str::trim).skip(1).take(4).collect())
+            .collect();
+        let shipped: Vec<Vec<String>> = FrameworkModel::shipped_lock_hierarchy()
+            .iter()
+            .map(|d| {
+                let site = pstack_sync::sites::all()
+                    .iter()
+                    .find(|s| s.label == d.site)
+                    .expect("every hierarchy row names a declared site");
+                let may_acquire = if d.may_acquire.is_empty() {
+                    "—".to_string()
+                } else {
+                    let sites: Vec<String> =
+                        d.may_acquire.iter().map(|s| format!("`{s}`")).collect();
+                    sites.join(", ")
+                };
+                vec![
+                    format!("`{}`", d.site),
+                    format!("{:?}", site.kind).to_lowercase(),
+                    d.rank.to_string(),
+                    may_acquire,
+                ]
+            })
+            .collect();
+        assert_eq!(
+            design, shipped,
+            "DESIGN.md lock table vs shipped_lock_hierarchy() and sites::all()"
+        );
+    }
+
+    #[test]
     fn report_is_deterministic() {
         let a = analyze_shipped();
         let b = analyze_shipped();

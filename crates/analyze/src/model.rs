@@ -377,9 +377,11 @@ impl FrameworkModel {
     /// The shipped lock hierarchy: one row per `pstack_sync::sites` entry,
     /// outer locks ranked below inner ones. The permitted while-held
     /// acquisitions are worker-pool slot → trace ring (a worker may flush
-    /// a span while publishing its result) and history shard gate →
-    /// history append counter (the store bumps its diagnostics counter
-    /// before releasing the gate); every other site is a leaf.
+    /// a span while publishing its result), history shard gate → shard
+    /// view (an append absorbs other writers' frames before writing) and
+    /// history shard gate → history append counter (the store bumps its
+    /// diagnostics counter before releasing the gate); every other site is
+    /// a leaf.
     pub fn shipped_lock_hierarchy() -> Vec<LockSiteDecl> {
         use pstack_sync::sites;
         vec![
@@ -388,8 +390,13 @@ impl FrameworkModel {
             LockSiteDecl::new(sites::CKPT_SCRATCH, 40, &[]),
             LockSiteDecl::new(sites::FAULTS_SLOWDOWNS, 41, &[]),
             LockSiteDecl::new(sites::FAULTS_KILLS, 42, &[]),
-            LockSiteDecl::new(sites::HISTORY_SHARD, 45, &[sites::HISTORY_APPENDS]),
+            LockSiteDecl::new(
+                sites::HISTORY_SHARD,
+                45,
+                &[sites::HISTORY_APPENDS, sites::HISTORY_CACHE],
+            ),
             LockSiteDecl::new(sites::HISTORY_APPENDS, 46, &[]),
+            LockSiteDecl::new(sites::HISTORY_CACHE, 46, &[]),
             LockSiteDecl::new(sites::RM_EVENTS, 47, &[]),
             LockSiteDecl::new(sites::RM_SITE_TREE, 48, &[]),
             LockSiteDecl::new(sites::TRACE_RING, 50, &[]),

@@ -28,21 +28,56 @@ pub mod wal;
 pub use error::CkptError;
 pub use snapshot::{read_snapshot, write_snapshot, SNAPSHOT_FORMAT_VERSION, SNAP_MAGIC};
 pub use wal::{
-    decode_records, read_wal, TornTail, WalContents, WalWriter, WAL_FORMAT_VERSION, WAL_MAGIC,
+    decode_records, read_wal, read_wal_from, TornTail, WalContents, WalWriter, WAL_FORMAT_VERSION,
+    WAL_MAGIC,
 };
 
 use pstack_sync::{sites, Ordering, SyncAtomicUsize};
 use std::path::{Path, PathBuf};
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a64_step(h: u64, byte: u8) -> u64 {
+    (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+}
+
 /// FNV-1a over a byte slice — the workspace's standard cheap checksum
 /// (same constants as `pstack_trace::hash64`, which hashes `&str`).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    bytes.iter().fold(FNV_OFFSET, |h, &b| fnv1a64_step(h, b))
+}
+
+/// [`fnv1a64`] of each payload, in order. One FNV-1a chain is a serial
+/// multiply per byte, so payloads are hashed four at a time in lockstep,
+/// letting the four chains' multiplies overlap instead of each waiting on
+/// the one before.
+pub(crate) fn fnv1a64_many<'a>(payloads: impl Iterator<Item = &'a [u8]>) -> Vec<u64> {
+    let payloads: Vec<&[u8]> = payloads.collect();
+    let mut sums = Vec::with_capacity(payloads.len());
+    let mut groups = payloads.chunks_exact(4);
+    for group in &mut groups {
+        let n = group.iter().map(|p| p.len()).min().unwrap_or(0);
+        let mut h = [FNV_OFFSET; 4];
+        let lockstep = group[0][..n]
+            .iter()
+            .zip(&group[1][..n])
+            .zip(&group[2][..n])
+            .zip(&group[3][..n]);
+        for (((&a, &b), &c), &d) in lockstep {
+            h = [
+                fnv1a64_step(h[0], a),
+                fnv1a64_step(h[1], b),
+                fnv1a64_step(h[2], c),
+                fnv1a64_step(h[3], d),
+            ];
+        }
+        for (p, h) in group.iter().zip(h) {
+            sums.push(p[n..].iter().fold(h, |h, &b| fnv1a64_step(h, b)));
+        }
     }
-    h
+    sums.extend(groups.remainder().iter().map(|p| fnv1a64(p)));
+    sums
 }
 
 /// The canonical layout of a session directory: one WAL, one snapshot.
@@ -230,6 +265,69 @@ mod tests {
     }
 
     #[test]
+    fn cursor_walks_agree_with_whole_reads_under_every_tear_and_flip() {
+        let dir = ScratchDir::new("wal-cursor");
+        let write_log = |name: &str, records: &[i64]| {
+            let path = dir.path().join(name);
+            let mut w = WalWriter::create(&path, &rec(1000), 1).expect("create");
+            for &n in records {
+                w.append(&rec(n)).expect("append");
+            }
+            drop(w);
+            path
+        };
+        // The 4-frame log under test (header + 3 records), and a foreign log
+        // that shares its first and third frames but not its second.
+        let path = write_log("session.wal", &[0, 1, 2]);
+        let pristine_bytes = std::fs::read(&path).expect("read bytes");
+        let pristine = read_wal(&path).expect("pristine");
+        let foreign = read_wal(&write_log("foreign.wal", &[0, 5, 2])).expect("foreign");
+        // Every cursor an earlier walk could have left: each prefix of the
+        // log as it grew, plus the foreign log's.
+        let mut cursors: Vec<(Vec<u64>, Vec<Value>)> = (0..=pristine.records.len())
+            .map(|j| {
+                (
+                    pristine.checksums[..j].to_vec(),
+                    pristine.records[..j].to_vec(),
+                )
+            })
+            .collect();
+        cursors.push((foreign.checksums.clone(), foreign.records.clone()));
+
+        let mut damaged: Vec<Vec<u8>> = (0..=pristine_bytes.len())
+            .map(|cut| pristine_bytes[..cut].to_vec())
+            .collect();
+        for byte in 0..pristine_bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = pristine_bytes.clone();
+                flipped[byte] ^= 1 << bit;
+                damaged.push(flipped);
+            }
+        }
+        for (case, bytes) in damaged.iter().enumerate() {
+            std::fs::write(&path, bytes).expect("write damage");
+            let whole = read_wal(&path);
+            for (checksums, decoded) in &cursors {
+                let walk = read_wal_from(&path, checksums);
+                match (&whole, &walk) {
+                    (Ok(whole), Ok(walk)) => {
+                        assert!(walk.kept <= checksums.len(), "case {case}");
+                        let mut records = decoded[..walk.kept].to_vec();
+                        records.extend(walk.records.iter().cloned());
+                        assert_eq!(records, whole.records, "case {case}");
+                        assert_eq!(walk.torn_tail, whole.torn_tail, "case {case}");
+                        assert_eq!(walk.checksums, whole.checksums, "case {case}");
+                        assert_eq!(walk.valid_end, whole.valid_end, "case {case}");
+                        assert_eq!(walk.header, whole.header, "case {case}");
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a, b, "case {case}"),
+                    _ => panic!("case {case}: walk {walk:?} vs whole read {whole:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn snapshot_round_trip_and_corruption_detection() {
         let dir = ScratchDir::new("snap");
         let path = dir.path().join("session.snap");
@@ -276,5 +374,17 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn fnv1a64_many_matches_one_payload_at_a_time() {
+        let text: Vec<u8> = (0..200u32).map(|i| (i * 37 % 251) as u8).collect();
+        // Every count up to three groups plus a remainder, with unequal
+        // lengths (empty ones included) inside each group.
+        for count in 0..14 {
+            let payloads: Vec<&[u8]> = (0..count).map(|i| &text[i * 7 % 5..i * 13]).collect();
+            let one_by_one: Vec<u64> = payloads.iter().map(|p| fnv1a64(p)).collect();
+            assert_eq!(fnv1a64_many(payloads.into_iter()), one_by_one, "{count}");
+        }
     }
 }

@@ -19,17 +19,24 @@
 //! Reading is longest-valid-prefix: the reader walks frames until the
 //! first one that is short, fails its checksum, or fails to parse, and
 //! reports everything before it plus a [`TornTail`] marker — it never
-//! panics on a half-written file. [`WalWriter::open_append`] physically
-//! truncates such a tail before appending new frames.
+//! panics on a half-written file. There is one walk, [`read_wal_from`]:
+//! given a *cursor* (the data-frame checksums an earlier walk returned) it
+//! still checks every frame's length and checksum, but JSON-decodes only
+//! the frames after the longest leading run whose checksums match the
+//! cursor's, so a caller that keeps its decoded records pays the parse for
+//! new frames only. [`read_wal`] is the empty-cursor walk.
+//! [`WalWriter::open_append`] physically truncates a torn tail before
+//! appending new frames; [`WalWriter::open_at`] does the same from the end
+//! a walk already validated.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize, Value};
 
 use crate::error::CkptError;
-use crate::fnv1a64;
+use crate::{fnv1a64, fnv1a64_many};
 
 /// First 8 bytes of every WAL file.
 pub const WAL_MAGIC: [u8; 8] = *b"PSTKWAL\0";
@@ -52,15 +59,24 @@ pub struct TornTail {
     pub reason: String,
 }
 
-/// Everything recovered from a WAL file.
+/// Everything one frame walk recovered from a WAL file.
 #[derive(Debug, Clone)]
 pub struct WalContents {
     /// Format version stamped in the preamble.
     pub version: u32,
     /// The header record (first frame).
     pub header: Value,
-    /// Data records, in append order.
+    /// Leading data records whose checksums continued the walk's cursor
+    /// (see [`read_wal_from`]): the caller's decoded copies of them still
+    /// hold, so they are not decoded again. Always 0 from [`read_wal`].
+    pub kept: usize,
+    /// Data records after the `kept` ones, in append order.
     pub records: Vec<Value>,
+    /// Checksum of every data frame in the valid prefix, kept ones
+    /// included: the cursor for the next walk.
+    pub checksums: Vec<u64>,
+    /// Byte length of the valid prefix, where the next frame belongs.
+    pub valid_end: u64,
     /// Present when the file ends in an invalid frame; the valid prefix
     /// was returned and the tail should be truncated before appending.
     pub torn_tail: Option<TornTail>,
@@ -109,27 +125,44 @@ impl WalWriter {
     /// contents.
     pub fn open_append(path: &Path, fsync_every: usize) -> Result<(Self, WalContents), CkptError> {
         let contents = read_wal(path)?;
-        let file = OpenOptions::new()
+        let mut w = Self::open_at(path, contents.valid_end, fsync_every)?;
+        w.records = contents.records.len();
+        Ok((w, contents))
+    }
+
+    /// Open an existing WAL for appending at `validated_end`, the
+    /// [`WalContents::valid_end`] of a walk the caller just made (and that
+    /// nothing has appended past since). The file is not read again: a
+    /// longer file has its invalid tail cut off, and a shorter one means
+    /// the walk is stale, which is reported as [`CkptError::Corrupt`].
+    /// [`records`](Self::records) counts only what this writer appends.
+    pub fn open_at(path: &Path, validated_end: u64, fsync_every: usize) -> Result<Self, CkptError> {
+        let mut file = OpenOptions::new()
             .write(true)
             .open(path)
             .map_err(|e| CkptError::io(path, e))?;
-        if let Some(tail) = &contents.torn_tail {
+        let len = file.metadata().map_err(|e| CkptError::io(path, e))?.len();
+        if len < validated_end {
+            return Err(CkptError::corrupt(
+                path,
+                format!("{len}-byte file is shorter than its validated end {validated_end}"),
+            ));
+        }
+        if len > validated_end {
             // Truncate-and-warn: drop the invalid suffix so new frames
             // start on a clean boundary.
-            file.set_len(tail.offset)
+            file.set_len(validated_end)
                 .map_err(|e| CkptError::io(path, e))?;
         }
-        let mut w = WalWriter {
+        file.seek(SeekFrom::Start(validated_end))
+            .map_err(|e| CkptError::io(path, e))?;
+        Ok(WalWriter {
             file,
             path: path.to_path_buf(),
             fsync_every: fsync_every.max(1),
             unsynced: 0,
-            records: contents.records.len(),
-        };
-        w.file
-            .seek(SeekFrom::End(0))
-            .map_err(|e| CkptError::io(&w.path, e))?;
-        Ok((w, contents))
+            records: 0,
+        })
     }
 
     /// Append one data record. The frame hits the file immediately;
@@ -200,18 +233,27 @@ impl WalWriter {
     }
 }
 
-/// Read and validate a whole WAL, returning its longest valid prefix.
+/// Read and validate a whole WAL, returning its longest valid prefix:
+/// [`read_wal_from`] with an empty cursor, so every data record is decoded.
 ///
 /// A bad preamble or an unreadable *header record* is unrecoverable
 /// ([`CkptError::Corrupt`] / [`CkptError::SchemaMismatch`]): without the
 /// session metadata there is nothing to resume. Any later invalid frame
 /// merely ends the scan and is reported as a [`TornTail`].
 pub fn read_wal(path: &Path) -> Result<WalContents, CkptError> {
-    let mut file = File::open(path).map_err(|e| CkptError::io(path, e))?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)
-        .map_err(|e| CkptError::io(path, e))?;
+    read_wal_from(path, &[])
+}
 
+/// Walk a WAL from its first byte, checking every frame's length and
+/// checksum exactly as [`read_wal`] does, but JSON-decode only the data
+/// frames after the longest leading run whose checksums equal `cursor`'s
+/// (the [`WalContents::checksums`] of an earlier walk). That run is
+/// reported as [`WalContents::kept`]; `kept` records of the earlier walk
+/// followed by the returned [`WalContents::records`] are exactly what
+/// [`read_wal`] returns now, and the torn tail is the same. A frame that
+/// changed in place, or a log that was rewritten, ends the run there.
+pub fn read_wal_from(path: &Path, cursor: &[u64]) -> Result<WalContents, CkptError> {
+    let bytes = std::fs::read(path).map_err(|e| CkptError::io(path, e))?;
     if bytes.len() < WAL_PREAMBLE {
         return Err(CkptError::corrupt(path, "file shorter than the preamble"));
     }
@@ -226,39 +268,47 @@ pub fn read_wal(path: &Path) -> Result<WalContents, CkptError> {
             found: version,
         });
     }
+    let (frames, mut torn_tail) = check_frames(&bytes);
+    let mut frames = frames.into_iter();
+    // The header itself must be readable: without it nothing is recoverable.
+    let header = match (frames.next(), &torn_tail) {
+        (Some(frame), _) => parse_payload(frame.payload),
+        (None, Some(tail)) => Err(tail.reason.clone()),
+        (None, None) => return Err(CkptError::corrupt(path, "missing header record")),
+    }
+    .map_err(|reason| CkptError::corrupt(path, format!("header record: {reason}")))?;
 
-    let mut offset = WAL_PREAMBLE;
-    let mut header: Option<Value> = None;
     let mut records = Vec::new();
-    let mut torn_tail = None;
-    while offset < bytes.len() {
-        match decode_frame(&bytes, offset) {
-            Ok((payload, next)) => {
-                if header.is_none() {
-                    header = Some(payload);
-                } else {
-                    records.push(payload);
+    let mut checksums = Vec::new();
+    let mut kept = 0;
+    for frame in frames {
+        // Known frames continue the cursor's run; the rest are decoded.
+        if kept == checksums.len() && cursor.get(kept) == Some(&frame.crc) {
+            kept += 1;
+        } else {
+            match parse_payload(frame.payload) {
+                Ok(record) => records.push(record),
+                Err(reason) => {
+                    torn_tail = Some(TornTail {
+                        offset: frame.offset as u64,
+                        reason,
+                    });
+                    break;
                 }
-                offset = next;
-            }
-            Err(reason) => {
-                if header.is_none() {
-                    // The header itself is unreadable: unrecoverable.
-                    return Err(CkptError::corrupt(path, format!("header record: {reason}")));
-                }
-                torn_tail = Some(TornTail {
-                    offset: offset as u64,
-                    reason,
-                });
-                break;
             }
         }
+        checksums.push(frame.crc);
     }
-    let header = header.ok_or_else(|| CkptError::corrupt(path, "missing header record"))?;
+    let valid_end = torn_tail
+        .as_ref()
+        .map_or(bytes.len() as u64, |tail| tail.offset);
     Ok(WalContents {
         version,
         header,
+        kept,
         records,
+        checksums,
+        valid_end,
         torn_tail,
     })
 }
@@ -276,7 +326,51 @@ pub fn decode_records<T: Deserialize>(contents: &WalContents) -> Result<Vec<T>, 
         .collect()
 }
 
-fn decode_frame(bytes: &[u8], offset: usize) -> Result<(Value, usize), String> {
+/// One whole frame whose payload matched its checksum.
+struct Frame<'a> {
+    /// Where the frame starts.
+    offset: usize,
+    payload: &'a [u8],
+    crc: u64,
+}
+
+/// The frame checks, over every frame after the preamble: each frame must
+/// be whole, and its payload must match its checksum. Returns the frames
+/// before the first one that fails, and where and why that one failed.
+/// Frame lengths are read first, then the payloads are checksummed
+/// together (see [`fnv1a64_many`]).
+fn check_frames(bytes: &[u8]) -> (Vec<Frame<'_>>, Option<TornTail>) {
+    let mut frames = Vec::new();
+    let mut torn_tail = None;
+    let mut offset = WAL_PREAMBLE;
+    while offset < bytes.len() {
+        match frame_at(bytes, offset) {
+            Ok(frame) => {
+                offset += FRAME_HEADER + frame.payload.len();
+                frames.push(frame);
+            }
+            Err(reason) => {
+                torn_tail = Some(TornTail {
+                    offset: offset as u64,
+                    reason,
+                });
+                break;
+            }
+        }
+    }
+    let sums = fnv1a64_many(frames.iter().map(|f| f.payload));
+    if let Some(bad) = frames.iter().zip(sums).position(|(f, sum)| f.crc != sum) {
+        torn_tail = Some(TornTail {
+            offset: frames[bad].offset as u64,
+            reason: "payload checksum mismatch".to_string(),
+        });
+        frames.truncate(bad);
+    }
+    (frames, torn_tail)
+}
+
+/// The frame at `offset`, if it is whole; its checksum is not checked yet.
+fn frame_at(bytes: &[u8], offset: usize) -> Result<Frame<'_>, String> {
     let remaining = bytes.len() - offset;
     if remaining < FRAME_HEADER {
         return Err(format!(
@@ -306,12 +400,15 @@ fn decode_frame(bytes: &[u8], offset: usize) -> Result<(Value, usize), String> {
             bytes.len() - start
         ));
     }
-    let payload = &bytes[start..start + len];
-    if fnv1a64(payload) != crc {
-        return Err("payload checksum mismatch".to_string());
-    }
+    Ok(Frame {
+        offset,
+        payload: &bytes[start..start + len],
+        crc,
+    })
+}
+
+/// Decode a checked frame's payload.
+fn parse_payload(payload: &[u8]) -> Result<Value, String> {
     let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
-    let value: Value =
-        serde_json::from_str(text).map_err(|e| format!("payload is not valid JSON: {e}"))?;
-    Ok((value, start + len))
+    serde_json::from_str(text).map_err(|e| format!("payload is not valid JSON: {e}"))
 }

@@ -21,6 +21,14 @@
 //!   hierarchy); cross-process appends additionally take a per-shard
 //!   advisory lock file, so many sessions — even in different processes —
 //!   can record into one store directory.
+//! - **Queries decode only what is new.** Each handle keeps one decoded
+//!   view per shard, shared with its clones (site `history.cache`). Every
+//!   query and append walks the shard file again and re-checks every
+//!   frame's checksum, so a handle answers exactly as a freshly opened one
+//!   would, whatever other handles, processes or torn writes did in
+//!   between; only frames after the leading run that is unchanged since
+//!   its last walk are JSON-decoded. [`HistoryStore::best_k`] reads a
+//!   best-per-configuration index kept in append order.
 //! - **Compaction** ([`HistoryStore::compact`]) dedupes by configuration
 //!   fingerprint (keeping the best observation per config) and rewrites
 //!   shards atomically; it is idempotent and never drops the best-seen

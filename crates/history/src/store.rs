@@ -17,21 +17,26 @@
 //! Concurrency discipline (in acquisition order):
 //!
 //! 1. `sites::HISTORY_SHARD` — an in-process [`SyncMutex`] serializing all
-//!    appends/compactions from this process (leaf lock; nothing else is
-//!    acquired under it except the advisory file below, which is not an
-//!    in-process primitive).
+//!    appends/compactions from this process. Under it a writer takes the
+//!    advisory file below, then (briefly) the shard's view lock.
 //! 2. `shard-NN.lock` — a cross-process advisory lock file taken with
 //!    `O_CREAT|O_EXCL` while the in-process mutex is held, so sessions in
 //!    *different* processes also serialize per shard. Stale locks (crashed
 //!    writers) are broken after [`STALE_LOCK`].
+//! 3. `sites::HISTORY_CACHE` — one [`SyncMutex`] per shard over the
+//!    handle's decoded view of that shard (leaf lock). It is held for one
+//!    checksum walk of the shard file plus the query that reads the view,
+//!    never across `fdatasync` or the lock-file wait. Readers take only
+//!    this lock, never the gate or the lock file.
 
 use std::collections::HashMap;
 use std::fs::{self, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
-use pstack_ckpt::{read_wal, CkptError, WalWriter};
+use pstack_ckpt::{read_wal_from, CkptError, WalWriter};
 use pstack_sync::{sites, Ordering, SyncAtomicUsize, SyncMutex};
 use serde::{Deserialize, Serialize, Value};
 
@@ -220,13 +225,110 @@ struct StoreMeta {
     shard_count: usize,
 }
 
-/// Handle on a store directory. Cheap to open; every instance — in this
-/// process or another — sees the same records, because all state lives on
-/// disk and appends are serialized by the locking discipline above.
+/// One shard's frames as a handle last decoded them. Every query first
+/// brings the view up to date with [`ShardView::refresh`], which
+/// re-checks the checksum of every frame in the file; only frames after
+/// the leading run that still matches are decoded again.
+#[derive(Default)]
+struct ShardView {
+    /// Checksum of every data frame in the shard's valid prefix: the
+    /// cursor of the next walk.
+    checksums: Vec<u64>,
+    /// One entry per data frame, in append order; `None` for a frame that
+    /// checksums but is not a `{key, record}` pair (readers skip it).
+    frames: Vec<Option<(HistoryKey, HistoryRecord)>>,
+    /// Per key, the index in `frames` of each configuration's best record
+    /// (by config fingerprint), folded with [`improves`] in append order.
+    best: HashMap<HistoryKey, HashMap<String, usize>>,
+}
+
+impl std::fmt::Debug for ShardView {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardView")
+            .field("frames", &self.frames.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl ShardView {
+    /// Bring the view up to date with the shard file at `path`, tolerating
+    /// damage: a missing file or an unreadable preamble/header leaves an
+    /// empty view (the longest valid prefix of nothing) and returns `None`,
+    /// a torn or bit-flipped tail leaves the frames before it, and frames
+    /// that checksum but no longer decode are skipped. Otherwise returns
+    /// the end of the valid prefix. Only plain I/O failures propagate.
+    /// Never panics.
+    fn refresh(&mut self, path: &Path) -> Result<Option<u64>, HistoryError> {
+        if !path.exists() {
+            *self = ShardView::default();
+            return Ok(None);
+        }
+        let walk = match read_wal_from(path, &self.checksums) {
+            Ok(walk) => walk,
+            Err(CkptError::Corrupt { .. } | CkptError::SchemaMismatch { .. }) => {
+                *self = ShardView::default();
+                return Ok(None);
+            }
+            Err(e) => return Err(e.into()),
+        };
+        // A changed leading frame invalidates the fold over everything
+        // after it, so the best-per-config index is rebuilt from scratch.
+        let fold_from = if walk.kept == self.frames.len() {
+            walk.kept
+        } else {
+            self.best.clear();
+            0
+        };
+        // Until the update is complete the view claims no frames, so one
+        // left half-updated by a panic is rebuilt whole by the next walk.
+        self.checksums.clear();
+        self.frames.truncate(walk.kept);
+        self.frames.extend(
+            walk.records
+                .iter()
+                .map(|v| ShardFrame::from_value(v).ok().map(|f| (f.key, f.record))),
+        );
+        let ShardView { frames, best, .. } = self;
+        for (i, frame) in frames.iter().enumerate().skip(fold_from) {
+            let Some((key, record)) = frame else {
+                continue;
+            };
+            let configs = match best.get_mut(key) {
+                Some(configs) => configs,
+                None => best.entry(key.clone()).or_default(),
+            };
+            let fp = config_fingerprint(&record.config);
+            match configs.get(&fp) {
+                Some(&j)
+                    if frames[j]
+                        .as_ref()
+                        .is_some_and(|(_, incumbent)| !improves(record, incumbent)) => {}
+                _ => {
+                    configs.insert(fp, i);
+                }
+            }
+        }
+        self.checksums = walk.checksums;
+        Ok(Some(walk.valid_end))
+    }
+
+    /// The decoded `{key, record}` frames, in append order.
+    fn decoded(&self) -> impl Iterator<Item = &(HistoryKey, HistoryRecord)> {
+        self.frames.iter().flatten()
+    }
+}
+
+/// Handle on a store directory. Cheap to open. The records live on disk;
+/// a handle keeps one decoded view per shard, shared with its clones
+/// through an `Arc`, and brings it up to date on every call by re-checking
+/// every frame's checksum and decoding only what is new. So every handle —
+/// in this process or another — answers exactly as a freshly opened one
+/// would, and appends are serialized by the locking discipline above.
 #[derive(Debug, Clone)]
 pub struct HistoryStore {
     root: PathBuf,
     shard_count: usize,
+    views: Arc<[SyncMutex<ShardView>]>,
 }
 
 impl HistoryStore {
@@ -313,7 +415,14 @@ impl HistoryStore {
             )?;
             n
         };
-        Ok(HistoryStore { root, shard_count })
+        let views = (0..shard_count)
+            .map(|_| SyncMutex::new(sites::HISTORY_CACHE, ShardView::default()))
+            .collect();
+        Ok(HistoryStore {
+            root,
+            shard_count,
+            views,
+        })
     }
 
     /// The store directory.
@@ -377,20 +486,17 @@ impl HistoryStore {
         let _gate = APPEND_GATE.lock();
         let _flock = ShardLock::acquire(self.lock_path(shard))?;
         let path = self.shard_path(shard);
-        let mut writer = if path.exists() {
-            match WalWriter::open_append(&path, records.len()) {
-                Ok((writer, _)) => writer,
-                // A destroyed preamble/header makes the shard unreadable —
-                // readers already see it as empty (`read_shard`), so the
-                // honest recovery is a fresh log, mirroring that emptiness,
-                // rather than refusing every future append.
-                Err(CkptError::Corrupt { .. } | CkptError::SchemaMismatch { .. }) => {
-                    WalWriter::create(&path, &self.shard_header(shard), records.len())?
-                }
-                Err(e) => return Err(e.into()),
-            }
-        } else {
-            WalWriter::create(&path, &self.shard_header(shard), records.len())?
+        // Absorb other writers' frames and find the tail; the view lock is
+        // released again before anything is written or synced.
+        let tail = self.views[shard].lock().refresh(&path)?;
+        // No automatic syncs: the one below covers the whole batch.
+        let mut writer = match tail {
+            Some(end) => WalWriter::open_at(&path, end, usize::MAX)?,
+            // A missing shard, or a destroyed preamble/header that readers
+            // already see as empty: the honest recovery is a fresh log,
+            // mirroring that emptiness, rather than refusing every future
+            // append.
+            None => WalWriter::create(&path, &self.shard_header(shard), usize::MAX)?,
         };
         for r in records {
             writer.append(&ShardFrame {
@@ -403,53 +509,43 @@ impl HistoryStore {
         Ok(records.len())
     }
 
-    /// Read one shard, tolerating damage: a missing file or an unreadable
-    /// preamble/header yields no records (the longest valid prefix of
-    /// nothing), a torn or bit-flipped tail yields the frames before it,
-    /// and frames that checksum but no longer decode are skipped. Only
-    /// plain I/O failures propagate. Never panics.
-    fn read_shard(&self, shard: usize) -> Result<Vec<(HistoryKey, HistoryRecord)>, HistoryError> {
-        let path = self.shard_path(shard);
-        if !path.exists() {
-            return Ok(Vec::new());
-        }
-        let contents = match read_wal(&path) {
-            Ok(c) => c,
-            Err(CkptError::Corrupt { .. } | CkptError::SchemaMismatch { .. }) => {
-                return Ok(Vec::new())
-            }
-            Err(e) => return Err(e.into()),
-        };
-        Ok(contents
-            .records
-            .iter()
-            .filter_map(|v| ShardFrame::from_value(v).ok())
-            .map(|f| (f.key, f.record))
-            .collect())
+    /// Run `f` on shard `shard`'s view, brought up to date with the file
+    /// first.
+    fn with_view<T>(
+        &self,
+        shard: usize,
+        f: impl FnOnce(&ShardView) -> T,
+    ) -> Result<T, HistoryError> {
+        let mut view = self.views[shard].lock();
+        view.refresh(&self.shard_path(shard))?;
+        Ok(f(&view))
     }
 
     /// All records under `key`, in append order.
     pub fn records(&self, key: &HistoryKey) -> Result<Vec<HistoryRecord>, HistoryError> {
-        Ok(self
-            .read_shard(key.shard(self.shard_count))?
-            .into_iter()
-            .filter(|(k, _)| k == key)
-            .map(|(_, r)| r)
-            .collect())
+        self.with_view(key.shard(self.shard_count), |view| {
+            view.decoded()
+                .filter(|(k, _)| k == key)
+                .map(|(_, r)| r.clone())
+                .collect()
+        })
     }
 
     /// Every `(key, record)` pair in the store, shard by shard.
     pub fn all_records(&self) -> Result<Vec<(HistoryKey, HistoryRecord)>, HistoryError> {
         let mut out = Vec::new();
         for shard in 0..self.shard_count {
-            out.extend(self.read_shard(shard)?);
+            self.with_view(shard, |view| out.extend(view.decoded().cloned()))?;
         }
         Ok(out)
     }
 
     /// Distinct keys present, sorted.
     pub fn keys(&self) -> Result<Vec<HistoryKey>, HistoryError> {
-        let mut keys: Vec<HistoryKey> = self.all_records()?.into_iter().map(|(k, _)| k).collect();
+        let mut keys = Vec::new();
+        for shard in 0..self.shard_count {
+            self.with_view(shard, |view| keys.extend(view.best.keys().cloned()))?;
+        }
         keys.sort();
         keys.dedup();
         Ok(keys)
@@ -470,42 +566,44 @@ impl HistoryStore {
     /// sorted by `(objective, config)` — a total order, so the result is
     /// identical no matter how concurrent writers interleaved the shard.
     pub fn best_k(&self, key: &HistoryKey, k: usize) -> Result<Vec<HistoryRecord>, HistoryError> {
-        let mut best: HashMap<String, HistoryRecord> = HashMap::new();
-        for r in self.records(key)? {
-            let fp = config_fingerprint(&r.config);
-            match best.get(&fp) {
-                Some(prev) if !improves(&r, prev) => {}
-                _ => {
-                    best.insert(fp, r);
-                }
-            }
-        }
-        let mut out: Vec<HistoryRecord> = best.into_values().collect();
-        out.sort_by(|a, b| {
-            a.objective
-                .total_cmp(&b.objective)
-                .then_with(|| a.config.cmp(&b.config))
-        });
-        out.truncate(k);
-        Ok(out)
+        self.with_view(key.shard(self.shard_count), |view| {
+            let mut best: Vec<&HistoryRecord> = view
+                .best
+                .get(key)
+                .into_iter()
+                .flat_map(HashMap::values)
+                .filter_map(|&i| view.frames[i].as_ref().map(|(_, r)| r))
+                .collect();
+            best.sort_by(|a, b| {
+                a.objective
+                    .total_cmp(&b.objective)
+                    .then_with(|| a.config.cmp(&b.config))
+            });
+            best.into_iter().take(k).cloned().collect()
+        })
     }
 
     /// Summary of the records under `key`.
     pub fn stats(&self, key: &HistoryKey) -> Result<HistoryStats, HistoryError> {
-        let records = self.records(key)?;
-        let mut configs: Vec<String> = records
-            .iter()
-            .map(|r| config_fingerprint(&r.config))
-            .collect();
-        configs.sort();
-        configs.dedup();
-        let best_objective = records.iter().map(|r| r.objective).min_by(f64::total_cmp);
+        let (records, distinct_configs, best_objective) =
+            self.with_view(key.shard(self.shard_count), |view| {
+                let objectives = || {
+                    view.decoded()
+                        .filter(|(k, _)| k == key)
+                        .map(|(_, r)| r.objective)
+                };
+                (
+                    objectives().count(),
+                    view.best.get(key).map_or(0, HashMap::len),
+                    objectives().min_by(f64::total_cmp),
+                )
+            })?;
         let shards_touched = (0..self.shard_count)
             .filter(|&s| self.shard_path(s).exists())
             .count();
         Ok(HistoryStats {
-            records: records.len(),
-            distinct_configs: configs.len(),
+            records,
+            distinct_configs,
             best_objective,
             shards_touched,
         })
@@ -527,43 +625,40 @@ impl HistoryStore {
         };
         for shard in 0..self.shard_count {
             let _flock = ShardLock::acquire(self.lock_path(shard))?;
-            let frames = self.read_shard(shard)?;
-            if frames.is_empty() {
+            // Each pair's best record is already in the view's index; the
+            // shard is rewritten only when those, in canonical order, are
+            // not exactly its frames. The view lock is released before the
+            // rewrite.
+            let (scanned, kept, rewrite) = self.with_view(shard, |view| {
+                let frames: Vec<&(HistoryKey, HistoryRecord)> = view.decoded().collect();
+                let mut kept: Vec<&(HistoryKey, HistoryRecord)> = view
+                    .best
+                    .values()
+                    .flat_map(HashMap::values)
+                    .filter_map(|&i| view.frames[i].as_ref())
+                    .collect();
+                kept.sort_by(|(ka, ra), (kb, rb)| {
+                    ka.cmp(kb)
+                        .then_with(|| ra.objective.total_cmp(&rb.objective))
+                        .then_with(|| ra.config.cmp(&rb.config))
+                });
+                let rewrite: Option<Vec<(HistoryKey, HistoryRecord)>> =
+                    (kept != frames).then(|| kept.iter().map(|&f| f.clone()).collect());
+                (frames.len(), kept.len(), rewrite)
+            })?;
+            report.scanned += scanned;
+            report.kept += kept;
+            report.dropped += scanned - kept;
+            // Already compact and in canonical order: leave the bytes alone
+            // so repeated passes are true no-ops.
+            let Some(rewrite) = rewrite else {
                 continue;
-            }
-            report.scanned += frames.len();
-            let mut best: HashMap<(HistoryKey, String), (HistoryKey, HistoryRecord)> =
-                HashMap::new();
-            for (key, record) in frames.iter().cloned() {
-                let slot = (key.clone(), config_fingerprint(&record.config));
-                match best.get(&slot) {
-                    Some((_, prev)) if !improves(&record, prev) => {}
-                    _ => {
-                        best.insert(slot, (key, record));
-                    }
-                }
-            }
-            let mut kept: Vec<(HistoryKey, HistoryRecord)> = best.into_values().collect();
-            kept.sort_by(|(ka, ra), (kb, rb)| {
-                ka.cmp(kb)
-                    .then_with(|| ra.objective.total_cmp(&rb.objective))
-                    .then_with(|| ra.config.cmp(&rb.config))
-            });
-            report.kept += kept.len();
-            report.dropped += frames.len() - kept.len();
-            if kept.len() == frames.len() && kept == frames {
-                // Already compact and in canonical order; leave the bytes
-                // alone so repeated passes are true no-ops.
-                continue;
-            }
+            };
             let path = self.shard_path(shard);
             let tmp = path.with_extension("wal.compact");
-            let mut writer = WalWriter::create(&tmp, &self.shard_header(shard), kept.len().max(1))?;
-            for (key, record) in &kept {
-                writer.append(&ShardFrame {
-                    key: key.clone(),
-                    record: record.clone(),
-                })?;
+            let mut writer = WalWriter::create(&tmp, &self.shard_header(shard), usize::MAX)?;
+            for (key, record) in rewrite {
+                writer.append(&ShardFrame { key, record })?;
             }
             writer.sync()?;
             drop(writer);

@@ -64,6 +64,8 @@ pub const FAULTS_KILLS: &str = "faults.supervisor.kills";
 pub const FAULTS_SLOWDOWNS: &str = "faults.evaluator.slowdowns";
 /// The process-wide appended-record counter in `pstack-history`.
 pub const HISTORY_APPENDS: &str = "history.appends";
+/// One shard's decoded view in a `pstack_history::HistoryStore` handle.
+pub const HISTORY_CACHE: &str = "history.cache";
 /// The in-process append/compaction gate in `pstack_history::HistoryStore`.
 pub const HISTORY_SHARD: &str = "history.shard";
 /// The processed-event counter in `pstack_rm::fleet::EnclaveSet`.
@@ -125,14 +127,25 @@ pub fn all() -> &'static [SiteDecl] {
                        (the join is the synchronization point), so Relaxed suffices.",
         },
         SiteDecl {
+            label: HISTORY_CACHE,
+            kind: SiteKind::Mutex,
+            owner: "pstack-history",
+            ordering: "Protects one shard's decoded view (frame checksums, decoded records, \
+                       best-per-config index) shared by a store handle and its clones. Held \
+                       for one checksum walk of the shard file plus the query or refresh \
+                       that reads it; never across fdatasync or the lock-file wait. Leaf \
+                       lock: nothing else is acquired while it is held.",
+        },
+        SiteDecl {
             label: HISTORY_SHARD,
             kind: SiteKind::Mutex,
             owner: "pstack-history",
             ordering: "Serializes every store append/compaction in this process so a shard \
-                       log sees one in-process writer at a time. While held it takes only \
-                       the cross-process advisory lock file and bumps the history.appends \
-                       diagnostics counter (declared ranked above it); no other in-process \
-                       primitive is acquired under it.",
+                       log sees one in-process writer at a time. While held it takes the \
+                       cross-process advisory lock file, the handle's history.cache view \
+                       lock (to absorb other writers' frames and find the tail) and bumps \
+                       the history.appends diagnostics counter, both declared ranked above \
+                       it; no other in-process primitive is acquired under it.",
         },
         SiteDecl {
             label: RM_EVENTS,

@@ -12,6 +12,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# A fresh artifact directory for one stage, under target/: the bins a
+# stage runs write there, so a verify run never rewrites the committed
+# results/ (CI's artifacts job regenerates those itself).
+stage_results_dir() {
+    rm -rf "target/$1"
+    mkdir -p "target/$1"
+    echo "target/$1"
+}
+
 stage_fmt() {
     echo "== cargo fmt --check =="
     cargo fmt --all -- --check
@@ -45,29 +54,38 @@ stage_resume() {
 
 stage_perf() {
     echo "== eval-throughput acceptance (batched fast path >= 10x, bit-identical) =="
-    cargo run -q --release -p pstack-bench --bin bench_evalthroughput
+    local out
+    out=$(stage_results_dir perf)
+    POWERSTACK_RESULTS_DIR="$out" cargo run -q --release -p pstack-bench --bin bench_evalthroughput
 }
 
 stage_conc() {
     echo "== concurrency audit (schedule explorer + lock-order gate + PSA017/018) =="
     cargo test -q --test concurrency_audit
-    cargo run -q --release -p pstack-bench --bin bench_lockorder
+    local out
+    out=$(stage_results_dir conc)
+    POWERSTACK_RESULTS_DIR="$out" cargo run -q --release -p pstack-bench --bin bench_lockorder
     cargo run -q --release -p pstack-analyze --bin pstack_lint
 }
 
 stage_history() {
-    echo "== shared history store (concurrency grid, properties, service, warm golden, E9 gate) =="
+    echo "== shared history store (concurrency grid, properties, service, open handles, warm golden, E9 gate) =="
     cargo test -q --test history_store
     cargo test -q --test history_proptests
     cargo test -q --test history_service
+    cargo test -q --test history_handles
     cargo test -q --test history_warm_golden
-    cargo run -q --release -p pstack-bench --bin bench_history
+    local out
+    out=$(stage_results_dir history)
+    POWERSTACK_RESULTS_DIR="$out" cargo run -q --release -p pstack-bench --bin bench_history
 }
 
 stage_fleet() {
     echo "== fleet-scale event engine (equivalence grid + 4k-node/50k-job ladder) =="
     cargo test -q -p pstack-rm --test event_equivalence
-    cargo run -q --release -p pstack-bench --bin bench_fleet
+    local out
+    out=$(stage_results_dir fleet)
+    POWERSTACK_RESULTS_DIR="$out" cargo run -q --release -p pstack-bench --bin bench_fleet
 }
 
 stage_chaosfleet() {
@@ -76,9 +94,8 @@ stage_chaosfleet() {
     cargo test -q -p pstack-faults --lib fleet
     # Smoke artifacts land in a scratch dir so the committed full-scale
     # results/ stay untouched; CI uploads the scratch copies.
-    local out=target/chaosfleet
-    rm -rf "$out"
-    mkdir -p "$out"
+    local out
+    out=$(stage_results_dir chaosfleet)
     POWERSTACK_RESULTS_DIR="$out" POWERSTACK_CHAOSFLEET_SMOKE=1 \
         cargo run -q --release -p pstack-bench --bin ext_fleetfaults
     POWERSTACK_RESULTS_DIR="$out" POWERSTACK_CHAOSFLEET_SMOKE=1 \
@@ -95,9 +112,8 @@ stage_chaosfleet() {
 
 stage_perfgate() {
     echo "== perf-regression gate (fresh artifacts vs committed results/) =="
-    local fresh=target/perfgate
-    rm -rf "$fresh"
-    mkdir -p "$fresh"
+    local fresh
+    fresh=$(stage_results_dir perfgate)
     POWERSTACK_RESULTS_DIR="$fresh" cargo run -q --release -p pstack-bench --bin bench_evalthroughput
     POWERSTACK_RESULTS_DIR="$fresh" cargo run -q --release -p pstack-bench --bin ext_thermal
     POWERSTACK_RESULTS_DIR="$fresh" cargo run -q --release -p pstack-bench --bin ext_new_runtimes
