@@ -323,16 +323,20 @@ impl ParamSpace {
     /// Ordinal encoding of a configuration (for surrogate models): each
     /// parameter mapped to its value index normalized to `[0, 1]`.
     pub fn encode(&self, cfg: &Config) -> Vec<f64> {
-        cfg.iter()
-            .zip(&self.params)
-            .map(|(&i, p)| {
-                if p.values.len() == 1 {
-                    0.0
-                } else {
-                    i as f64 / (p.values.len() - 1) as f64
-                }
-            })
-            .collect()
+        let mut out = Vec::with_capacity(cfg.len());
+        self.encode_into(cfg, &mut out);
+        out
+    }
+
+    /// Append [`encode`](Self::encode)'s values to `out`.
+    pub(crate) fn encode_into(&self, cfg: &Config, out: &mut Vec<f64>) {
+        out.extend(cfg.iter().zip(&self.params).map(|(&i, p)| {
+            if p.values.len() == 1 {
+                0.0
+            } else {
+                i as f64 / (p.values.len() - 1) as f64
+            }
+        }));
     }
 
     /// Stable 16-hex-digit fingerprint of the space's *shape*: parameter

@@ -154,11 +154,14 @@ fn main() {
             assert!(
                 a.jobs_h_sim_per_wall_s >= FLEET_THROUGHPUT_FLOOR,
                 "{:?}: {:.2} simulated jobs/h per wall-second is below the {:.1} floor \
-                 (wall {:.1}s); see results/bench_fleet.json",
+                 (wall {:.1}s); see {}",
                 a.result.tuning,
                 a.jobs_h_sim_per_wall_s,
                 FLEET_THROUGHPUT_FLOOR,
-                a.wall_s
+                a.wall_s,
+                pstack_bench::results_dir()
+                    .join("bench_fleet.json")
+                    .display()
             );
         }
     }

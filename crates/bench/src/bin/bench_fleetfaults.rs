@@ -130,8 +130,11 @@ fn main() {
             eprintln!("SLO violation: {v}");
         }
         eprintln!(
-            "error: bench_fleetfaults: {} recovery SLO violation(s); see results/bench_fleetfaults.txt",
-            gate.violations.len()
+            "error: bench_fleetfaults: {} recovery SLO violation(s); see {}",
+            gate.violations.len(),
+            pstack_bench::results_dir()
+                .join("bench_fleetfaults.txt")
+                .display()
         );
         std::process::exit(1);
     }

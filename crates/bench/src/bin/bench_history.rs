@@ -22,8 +22,13 @@ fn main() {
         assert!(
             row.warmed_fewer,
             "{}: history-warmed campaign needed {:?} fresh evals to the band \
-             vs cold {:?} — no warm-start gain; see results/bench_history.json",
-            row.arm, row.warmed_evals_to_target, row.cold_evals_to_target
+             vs cold {:?} — no warm-start gain; see {}",
+            row.arm,
+            row.warmed_evals_to_target,
+            row.cold_evals_to_target,
+            pstack_bench::results_dir()
+                .join("bench_history.json")
+                .display()
         );
     }
 }

@@ -20,6 +20,7 @@ fn main() {
     assert!(
         r.clean,
         "schedule explorer found a divergence, inversion, smell, cycle, or \
-         undeclared site; see results/lockorder.json"
+         undeclared site; see {}",
+        pstack_bench::results_dir().join("lockorder.json").display()
     );
 }

@@ -109,6 +109,9 @@ fn main() {
     }
     assert!(
         grid.all_slo_ok,
-        "E11 recovery SLOs violated; see results/ext_fleetfaults.txt"
+        "E11 recovery SLOs violated; see {}",
+        pstack_bench::results_dir()
+            .join("ext_fleetfaults.txt")
+            .display()
     );
 }

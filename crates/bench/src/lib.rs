@@ -19,7 +19,7 @@ pub mod lockorder;
 use pstack_trace::{Trace, TraceCollector};
 use serde::Serialize;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Directory experiment outputs are written to (repo-relative).
@@ -31,9 +31,13 @@ pub fn results_dir() -> PathBuf {
 /// Print `rendered` and persist it (plus a JSON dump of `data`) under
 /// `results/<name>.{txt,json}`.
 pub fn emit<T: Serialize>(name: &str, rendered: &str, data: &T) {
+    emit_in(&results_dir(), name, rendered, data);
+}
+
+/// [`emit`] into `dir`.
+fn emit_in<T: Serialize>(dir: &Path, name: &str, rendered: &str, data: &T) {
     println!("{rendered}");
-    let dir = results_dir();
-    if let Err(e) = fs::create_dir_all(&dir) {
+    if let Err(e) = fs::create_dir_all(dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
     }
@@ -56,8 +60,12 @@ pub fn emit<T: Serialize>(name: &str, rendered: &str, data: &T) {
 /// format — open the file in `chrome://tracing` or Perfetto. This is the
 /// trace exporter PSA014 requires of every JSON-writing bench bin.
 pub fn emit_trace(name: &str, trace: &Trace) {
-    let dir = results_dir();
-    if let Err(e) = fs::create_dir_all(&dir) {
+    emit_trace_in(&results_dir(), name, trace);
+}
+
+/// [`emit_trace`] into `dir`.
+fn emit_trace_in(dir: &Path, name: &str, trace: &Trace) {
+    if let Err(e) = fs::create_dir_all(dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
     }
@@ -81,12 +89,17 @@ pub fn emit_trace(name: &str, trace: &Trace) {
 /// `&TraceCollector` consumers (e.g. `Scenario::run_traced`) take it by
 /// deref coercion.
 pub fn traced<T>(name: &str, f: impl FnOnce(&Arc<TraceCollector>) -> T) -> T {
+    traced_in(&results_dir(), name, f)
+}
+
+/// [`traced`], exporting into `dir`.
+fn traced_in<T>(dir: &Path, name: &str, f: impl FnOnce(&Arc<TraceCollector>) -> T) -> T {
     let collector = Arc::new(TraceCollector::new());
     let out = {
         let _root = collector.span(name);
         f(&collector)
     };
-    emit_trace(name, &collector.snapshot());
+    emit_trace_in(dir, name, &collector.snapshot());
     out
 }
 
@@ -123,8 +136,7 @@ mod tests {
     #[test]
     fn traced_emits_a_round_trippable_chrome_trace() {
         let tmp = std::env::temp_dir().join("pstack-bench-trace-test");
-        std::env::set_var("POWERSTACK_RESULTS_DIR", &tmp);
-        let out = traced("unit_test_trace", |tc| {
+        let out = traced_in(&tmp, "unit_test_trace", |tc| {
             let mut span = tc.span("work");
             span.attr("step", 1i64);
             42
@@ -135,18 +147,15 @@ mod tests {
         let back = pstack_trace::from_chrome(&raw).expect("valid Chrome trace");
         assert!(back.by_name("unit_test_trace").next().is_some());
         assert!(back.by_name("work").next().is_some());
-        std::env::remove_var("POWERSTACK_RESULTS_DIR");
         let _ = std::fs::remove_dir_all(&tmp);
     }
 
     #[test]
     fn emit_writes_files() {
         let tmp = std::env::temp_dir().join("pstack-bench-test");
-        std::env::set_var("POWERSTACK_RESULTS_DIR", &tmp);
-        emit("unit_test_artifact", "hello table", &vec![1, 2, 3]);
+        emit_in(&tmp, "unit_test_artifact", "hello table", &vec![1, 2, 3]);
         assert!(tmp.join("unit_test_artifact.txt").exists());
         assert!(tmp.join("unit_test_artifact.json").exists());
-        std::env::remove_var("POWERSTACK_RESULTS_DIR");
         let _ = std::fs::remove_dir_all(&tmp);
     }
 }
