@@ -15,7 +15,7 @@ use pstack_bench::evalthroughput;
 fn main() {
     pstack_analyze::startup_gate();
 
-    let r = pstack_bench::traced("bench_evalthroughput", |_tc| evalthroughput::run());
+    let r = pstack_bench::traced_under("bench_evalthroughput", evalthroughput::run);
     pstack_bench::emit("bench_evalthroughput", &evalthroughput::render(&r), &r);
 
     let fig4_best = r.fig4_kernel.best_speedup();

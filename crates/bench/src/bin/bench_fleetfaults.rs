@@ -1,21 +1,27 @@
-//! Chaos-recovery SLO gate: the E11 grid must stay green.
+//! Extension E11 — fleet chaos: the recovery-SLO grid, recorded and gated.
 //!
 //! Runs the shipped chaos grid ({none, node MTBF, mixed} ×
-//! {NodeOnly, EndToEnd}) and exits nonzero if any recovery SLO regresses:
-//! conservation (`submitted == completed + failed + rejected`), ≥95%
-//! completion of non-failed jobs, no sustained power overshoot, byte-
-//! identical replay at 1/2/4/8 drain workers, and every MTBF-failed node
-//! back up at drain end. Writes `results/bench_fleetfaults.{json,txt}`;
-//! the CI `chaosfleet` stage runs this binary and `perfgate` diffs its
-//! JSON against the committed baseline (deterministic counters exactly,
-//! wall-clock rates as ratios).
+//! {NodeOnly, EndToEnd}) over the E10 small fleet, plus the
+//! checkpointed-supervisor equivalence check: a kill-riddled
+//! [`FleetSupervisor`](pstack_faults::FleetSupervisor) run must land on the
+//! byte-identical fleet fingerprint of an unkilled run. Exits nonzero if
+//! any recovery SLO regresses: conservation
+//! (`submitted == completed + failed + rejected`), ≥95% completion of
+//! non-failed jobs, no sustained power overshoot, byte-identical replay at
+//! 1/2/4/8 drain workers, every MTBF-failed node back up at drain end, and
+//! the supervised run identical. Writes
+//! `results/bench_fleetfaults.{json,txt}`; the CI `chaosfleet` stage runs
+//! this binary and `perfgate` diffs its JSON against the committed
+//! baseline (deterministic counters exactly, wall-clock rates as ratios).
 //!
 //! `POWERSTACK_CHAOSFLEET_SMOKE=1` shrinks every cell for plumbing checks.
 //! `POWERSTACK_FLEETFAULTS_INJECT_REGRESSION=1` synthetically breaks one
 //! cell's conservation verdict — CI uses it to prove the gate actually
 //! trips (a gate nobody has seen fail is a gate nobody can trust).
 
-use powerstack_core::experiments::fleetfaults::{self, ChaosResult, ChaosScenario};
+use powerstack_core::experiments::fleetfaults::{
+    self, ChaosResult, ChaosScenario, SupervisedCheck,
+};
 use powerstack_core::framework::TuningLevel;
 use pstack_faults::FleetFaultPlan;
 use serde::Serialize;
@@ -37,13 +43,41 @@ struct ChaosGate {
     smoke: bool,
     injected_regression: bool,
     arms: Vec<ChaosArm>,
+    /// Kill/restart equivalence on the node-MTBF NodeOnly cell.
+    supervised: SupervisedCheck,
+    /// Every cell's SLOs hold and the supervised run is identical.
+    all_slo_ok: bool,
     violations: Vec<String>,
+}
+
+/// Fewer jobs and a shorter horizon, with faults rescaled so every class
+/// still fires inside the window.
+fn shrink_for_smoke(mut sc: ChaosScenario) -> ChaosScenario {
+    sc.fleet.n_jobs = 10;
+    sc.fleet.horizon_hours = 6;
+    if sc.plan.nodes.mtbf_hours > 0.0 {
+        sc.plan.nodes.mtbf_hours = 2.0;
+        sc.plan.nodes.mttr_minutes = 10.0;
+    }
+    for o in &mut sc.plan.outages {
+        o.at_s = 3600.0;
+        o.duration_s = 900.0;
+    }
+    sc
 }
 
 fn main() {
     pstack_analyze::startup_gate();
     let smoke = std::env::var("POWERSTACK_CHAOSFLEET_SMOKE").is_ok();
     let injected_regression = std::env::var("POWERSTACK_FLEETFAULTS_INJECT_REGRESSION").is_ok();
+    let scenario = |tuning, plan| {
+        let sc = ChaosScenario::small(tuning, plan);
+        if smoke {
+            shrink_for_smoke(sc)
+        } else {
+            sc
+        }
+    };
 
     let plans = [
         FleetFaultPlan::none(),
@@ -52,38 +86,34 @@ fn main() {
     ];
     let tunings = [TuningLevel::NodeOnly, TuningLevel::EndToEnd];
 
-    let mut arms: Vec<ChaosArm> = pstack_bench::traced("bench_fleetfaults", |tc| {
-        plans
+    let (mut arms, supervised) = pstack_bench::traced_under("bench_fleetfaults", |root| {
+        let arms: Vec<ChaosArm> = plans
             .iter()
             .flat_map(|plan| tunings.iter().map(move |&t| (plan.clone(), t)))
             .map(|(plan, tuning)| {
-                let mut span = tc.span("chaos_gate_cell");
+                let mut span = root.child("chaos_cell");
                 span.attr("plan", plan.name.clone());
                 span.attr("tuning", format!("{tuning:?}"));
-                let mut sc = ChaosScenario::small(tuning, plan);
-                if smoke {
-                    sc.fleet.n_jobs = 10;
-                    sc.fleet.horizon_hours = 6;
-                    if sc.plan.nodes.mtbf_hours > 0.0 {
-                        sc.plan.nodes.mtbf_hours = 2.0;
-                        sc.plan.nodes.mttr_minutes = 10.0;
-                    }
-                    for o in &mut sc.plan.outages {
-                        o.at_s = 3600.0;
-                        o.duration_s = 900.0;
-                    }
-                }
+                let sc = scenario(tuning, plan);
                 let start = Instant::now();
-                let result =
-                    pstack_bench::timed(&format!("gate {} {tuning:?}", sc.plan.name), || sc.run());
+                let result = sc.run();
                 let wall_s = start.elapsed().as_secs_f64().max(1e-9);
+                eprintln!("[E11 {} {tuning:?}: {wall_s:.1}s]", sc.plan.name);
                 ChaosArm {
                     wall_s,
                     sim_hours_per_wall_s: sc.fleet.horizon_hours as f64 / wall_s,
                     result,
                 }
             })
-            .collect()
+            .collect();
+        // Rolling kills with restart-from-checkpoint must not change a byte
+        // of the node-MTBF cell's outcome.
+        let _span = root.child("supervised");
+        let cell = scenario(TuningLevel::NodeOnly, FleetFaultPlan::node_mtbf_only());
+        let supervised = pstack_bench::timed("E11 supervised", || {
+            fleetfaults::supervised_recovery_check(&cell, 0.3)
+        });
+        (arms, supervised)
     });
 
     if injected_regression {
@@ -91,7 +121,7 @@ fn main() {
         arms[0].result.conservation_ok = false;
     }
 
-    let violations: Vec<String> = arms
+    let mut violations: Vec<String> = arms
         .iter()
         .flat_map(|a| {
             a.result
@@ -100,16 +130,35 @@ fn main() {
                 .map(move |v| format!("[{} {:?}] {v}", a.result.plan, a.result.tuning))
         })
         .collect();
+    if !supervised.identical {
+        violations.push(format!(
+            "[supervised] killed run {} diverged from clean run {}",
+            supervised.killed_fingerprint, supervised.clean_fingerprint
+        ));
+    }
 
     let gate = ChaosGate {
         smoke,
         injected_regression,
+        all_slo_ok: violations.is_empty(),
         arms,
+        supervised,
         violations,
     };
 
     let results: Vec<ChaosResult> = gate.arms.iter().map(|a| a.result.clone()).collect();
     let mut rendered = fleetfaults::render(&results);
+    rendered.push_str(&format!(
+        "\nsupervised: clean {} vs killed {} ({} restarts) -> {}\n",
+        gate.supervised.clean_fingerprint,
+        gate.supervised.killed_fingerprint,
+        gate.supervised.restarts,
+        if gate.supervised.identical {
+            "identical"
+        } else {
+            "DIVERGED"
+        },
+    ));
     rendered.push_str("\nplan           | tuning    | wall_s  | sim_h/wall_s\n");
     for a in &gate.arms {
         rendered.push_str(&format!(
@@ -125,7 +174,7 @@ fn main() {
     }
     pstack_bench::emit("bench_fleetfaults", &rendered, &gate);
 
-    if !gate.violations.is_empty() {
+    if !gate.all_slo_ok {
         for v in &gate.violations {
             eprintln!("SLO violation: {v}");
         }

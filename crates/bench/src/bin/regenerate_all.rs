@@ -96,9 +96,7 @@ fn main() {
     // itself lives in the dedicated bench_evalthroughput binary (CI `perf`
     // stage) so a loaded regeneration box can't fail the whole regen pass
     // on a timing blip.
-    let r = pstack_bench::traced("bench_evalthroughput", |_tc| {
-        pstack_bench::evalthroughput::run()
-    });
+    let r = pstack_bench::traced_under("bench_evalthroughput", pstack_bench::evalthroughput::run);
     pstack_bench::emit(
         "bench_evalthroughput",
         &pstack_bench::evalthroughput::render(&r),

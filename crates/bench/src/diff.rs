@@ -224,6 +224,8 @@ pub fn shipped_rules() -> Vec<MetricRule> {
             Exact,
         ),
         rule("bench_fleetfaults", "arms.*.result.energy_j", Exact),
+        rule("bench_fleetfaults", "supervised.identical", Exact),
+        rule("bench_fleetfaults", "all_slo_ok", Exact),
         rule(
             "bench_fleetfaults",
             "arms.*.sim_hours_per_wall_s",
@@ -242,11 +244,6 @@ pub fn shipped_rules() -> Vec<MetricRule> {
         rule("ext_thermal", "rows.*.makespan_s", Exact),
         rule("ext_resume", "rows.*.identical", Exact),
         rule("ext_resume", "max_evals", Exact),
-        rule("ext_fleetfaults", "rows.*.completed", Exact),
-        rule("ext_fleetfaults", "rows.*.failed", Exact),
-        rule("ext_fleetfaults", "rows.*.replay_identical", Exact),
-        rule("ext_fleetfaults", "supervised.identical", Exact),
-        rule("ext_fleetfaults", "all_slo_ok", Exact),
     ]
 }
 

@@ -23,6 +23,11 @@
 //! coarse lane's pass is well under a millisecond, so a single timed pass
 //! read timer and scheduler noise as much as work.
 //!
+//! The trace holds one span per space under the caller's span, and under
+//! each space one span per lane pass (`scalar`, `arena`, `arena_coarse`,
+//! with its `round`), so `results/trace_bench_evalthroughput.json` shows
+//! where the bench's wall time went.
+//!
 //! Two spaces are sampled: the fig4-class kernel space (single node,
 //! §3.2.3's ytopt loop) and the uc3-class Hypre space (multi-node, §4.4).
 //! The headline acceptance check asserts ≥[`FIG4_TARGET_SPEEDUP`]× evals/min
@@ -37,6 +42,7 @@ use powerstack_core::interfaces::Objective;
 use powerstack_core::EvalArena;
 use pstack_autotune::{Config, ParamSpace};
 use pstack_sim::SimDuration;
+use pstack_trace::SpanGuard;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -109,17 +115,31 @@ pub struct EvalThroughputResult {
 
 /// Run the three lanes over `configs` with the given evaluate closures,
 /// [`ROUNDS`] times each, interleaved, keeping each lane's fastest pass.
+/// The space gets a span named `label` under `parent`, and each lane pass a
+/// span under it.
 /// Panics if the exact arena lane diverges from the scalar oracle by a
 /// single bit in any round or the coarse lane drifts past
 /// [`COARSE_REL_TOL`] — the speedups this reports are only meaningful under
 /// those contracts.
 fn bench_space(
+    parent: &SpanGuard<'_>,
     label: &str,
     space: &ParamSpace,
     configs: &[Config],
     scalar_eval: &ScalarEval,
     arena_eval: &mut ArenaEval,
 ) -> SpaceBench {
+    let mut space_span = parent.child(label);
+    space_span.attr("configs", configs.len() as i64);
+    // Each lane pass is timed inside its span, so opening and closing the
+    // span stays out of the measurement.
+    let pass = |lane: &str, round: usize, f: &mut dyn FnMut() -> Vec<EvalOut>| {
+        let mut span = space_span.child(lane);
+        span.attr("round", round as i64);
+        let t = Instant::now();
+        let out = f();
+        (out, t.elapsed().as_secs_f64())
+    };
     // One warm-up eval per arena so steady-state reuse is timed.
     let mut arena = EvalArena::new();
     let _ = arena_eval(&mut arena, space, &configs[0]);
@@ -129,24 +149,25 @@ fn bench_space(
     let (mut scalar_s, mut arena_s, mut coarse_s) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     let mut bit_identical = true;
     let mut coarse_max_rel_err = 0.0f64;
-    for _ in 0..ROUNDS {
-        let t0 = Instant::now();
-        let scalar_out: Vec<EvalOut> = configs.iter().map(|c| scalar_eval(space, c)).collect();
-        scalar_s = scalar_s.min(t0.elapsed().as_secs_f64());
-
-        let t1 = Instant::now();
-        let arena_out: Vec<EvalOut> = configs
-            .iter()
-            .map(|c| arena_eval(&mut arena, space, c))
-            .collect();
-        arena_s = arena_s.min(t1.elapsed().as_secs_f64());
-
-        let t2 = Instant::now();
-        let coarse_out: Vec<EvalOut> = configs
-            .iter()
-            .map(|c| arena_eval(&mut coarse, space, c))
-            .collect();
-        coarse_s = coarse_s.min(t2.elapsed().as_secs_f64());
+    for round in 0..ROUNDS {
+        let (scalar_out, s) = pass("scalar", round, &mut || {
+            configs.iter().map(|c| scalar_eval(space, c)).collect()
+        });
+        scalar_s = scalar_s.min(s);
+        let (arena_out, s) = pass("arena", round, &mut || {
+            configs
+                .iter()
+                .map(|c| arena_eval(&mut arena, space, c))
+                .collect()
+        });
+        arena_s = arena_s.min(s);
+        let (coarse_out, s) = pass("arena_coarse", round, &mut || {
+            configs
+                .iter()
+                .map(|c| arena_eval(&mut coarse, space, c))
+                .collect()
+        });
+        coarse_s = coarse_s.min(s);
 
         // Scalar-equivalence check: the exact lane is bit-identical, the
         // coarse lane within tolerance.
@@ -191,9 +212,9 @@ fn bench_space(
 }
 
 /// Run the full throughput measurement: both spaces, all three lanes, with
-/// per-space trace spans under the caller's collector (use
-/// [`crate::traced`] around this).
-pub fn run() -> EvalThroughputResult {
+/// per-space and per-lane-pass trace spans under `parent` (use
+/// [`crate::traced_under`] around this).
+pub fn run(parent: &SpanGuard<'_>) -> EvalThroughputResult {
     let kt = KernelCoTune::new(Objective::MinEdp);
     let ks = kt.space();
     let kernel_cfgs: Vec<Config> = ks.enumerate().step_by(331).take(48).collect();
@@ -202,24 +223,22 @@ pub fn run() -> EvalThroughputResult {
     let hs = ht.space();
     let hypre_cfgs: Vec<Config> = hs.enumerate().step_by(67).take(16).collect();
 
-    let fig4_kernel = crate::timed("fig4_kernel", || {
-        bench_space(
-            "fig4_kernel",
-            &ks,
-            &kernel_cfgs,
-            &|s, c| kt.evaluate(s, c),
-            &mut |arena, s, c| kt.evaluate_in(arena, s, c),
-        )
-    });
-    let uc3_hypre = crate::timed("uc3_hypre", || {
-        bench_space(
-            "uc3_hypre",
-            &hs,
-            &hypre_cfgs,
-            &|s, c| ht.evaluate(s, c),
-            &mut |arena, s, c| ht.evaluate_in(arena, s, c),
-        )
-    });
+    let fig4_kernel = bench_space(
+        parent,
+        "fig4_kernel",
+        &ks,
+        &kernel_cfgs,
+        &|s, c| kt.evaluate(s, c),
+        &mut |arena, s, c| kt.evaluate_in(arena, s, c),
+    );
+    let uc3_hypre = bench_space(
+        parent,
+        "uc3_hypre",
+        &hs,
+        &hypre_cfgs,
+        &|s, c| ht.evaluate(s, c),
+        &mut |arena, s, c| ht.evaluate_in(arena, s, c),
+    );
 
     EvalThroughputResult {
         sampling: SEED_NOTE.to_string(),
@@ -260,4 +279,45 @@ pub fn render(r: &EvalThroughputResult) -> String {
         h = row(&r.uc3_hypre),
         t = r.fig4_target_speedup,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pstack_trace::TraceCollector;
+
+    /// A two-config kernel sample records one span for the space under the
+    /// caller's span and one per lane pass under the space.
+    #[test]
+    fn spaces_and_lane_passes_are_traced_under_the_caller() {
+        let kt = KernelCoTune::new(Objective::MinEdp);
+        let ks = kt.space();
+        let cfgs: Vec<Config> = ks.enumerate().step_by(331).take(2).collect();
+        let tc = TraceCollector::new();
+        let root_id = {
+            let root = tc.span("caller");
+            let b = bench_space(
+                &root,
+                "fig4_kernel",
+                &ks,
+                &cfgs,
+                &|s, c| kt.evaluate(s, c),
+                &mut |arena, s, c| kt.evaluate_in(arena, s, c),
+            );
+            assert!(b.bit_identical);
+            root.id()
+        };
+        let trace = tc.snapshot();
+        let spaces: Vec<_> = trace.by_name("fig4_kernel").collect();
+        assert_eq!(spaces.len(), 1);
+        assert_eq!(spaces[0].parent, Some(root_id));
+        for lane in ["scalar", "arena", "arena_coarse"] {
+            let passes: Vec<_> = trace.by_name(lane).collect();
+            assert_eq!(passes.len(), ROUNDS, "{lane}");
+            assert!(
+                passes.iter().all(|p| p.parent == Some(spaces[0].id)),
+                "{lane}"
+            );
+        }
+    }
 }

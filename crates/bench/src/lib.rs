@@ -16,7 +16,7 @@ pub mod diff;
 pub mod evalthroughput;
 pub mod lockorder;
 
-use pstack_trace::{Trace, TraceCollector};
+use pstack_trace::{SpanGuard, Trace, TraceCollector};
 use serde::Serialize;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -89,15 +89,26 @@ fn emit_trace_in(dir: &Path, name: &str, trace: &Trace) {
 /// `&TraceCollector` consumers (e.g. `Scenario::run_traced`) take it by
 /// deref coercion.
 pub fn traced<T>(name: &str, f: impl FnOnce(&Arc<TraceCollector>) -> T) -> T {
-    traced_in(&results_dir(), name, f)
+    traced_in(&results_dir(), name, |tc, _root| f(tc))
 }
 
-/// [`traced`], exporting into `dir`.
-fn traced_in<T>(dir: &Path, name: &str, f: impl FnOnce(&Arc<TraceCollector>) -> T) -> T {
+/// [`traced`] for work that opens its spans as children of the root span
+/// (see [`SpanGuard::child`]).
+pub fn traced_under<T>(name: &str, f: impl FnOnce(&SpanGuard<'_>) -> T) -> T {
+    traced_in(&results_dir(), name, |_tc, root| f(root))
+}
+
+/// Run `f` under a root span named `name` on a fresh collector, exporting
+/// the trace into `dir`.
+fn traced_in<T>(
+    dir: &Path,
+    name: &str,
+    f: impl FnOnce(&Arc<TraceCollector>, &SpanGuard<'_>) -> T,
+) -> T {
     let collector = Arc::new(TraceCollector::new());
     let out = {
-        let _root = collector.span(name);
-        f(&collector)
+        let root = collector.span(name);
+        f(&collector, &root)
     };
     emit_trace_in(dir, name, &collector.snapshot());
     out
@@ -136,7 +147,7 @@ mod tests {
     #[test]
     fn traced_emits_a_round_trippable_chrome_trace() {
         let tmp = std::env::temp_dir().join("pstack-bench-trace-test");
-        let out = traced_in(&tmp, "unit_test_trace", |tc| {
+        let out = traced_in(&tmp, "unit_test_trace", |tc, _root| {
             let mut span = tc.span("work");
             span.attr("step", 1i64);
             42

@@ -20,8 +20,8 @@
 //!    job is lost or double-counted across requeues and enclave rejoins.
 //! 6. **Recovery** — every MTBF-failed node is back up at drain end.
 //!
-//! `results/ext_fleetfaults.*` renders the grid; `bench_fleetfaults` gates
-//! CI on the SLOs.
+//! `bench_fleetfaults` renders the grid into `results/bench_fleetfaults.*`
+//! and gates CI on the SLOs.
 
 use crate::experiments::fleet::FleetScenario;
 use crate::framework::TuningLevel;

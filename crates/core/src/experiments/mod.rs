@@ -204,7 +204,6 @@ pub fn artifact_registry() -> Vec<ArtifactInfo> {
         ArtifactInfo::traced("bench_parallel_tuner"),
         ArtifactInfo::traced("ext_emergency"),
         ArtifactInfo::traced("ext_faults"),
-        ArtifactInfo::traced("ext_fleetfaults"),
         ArtifactInfo::traced("ext_new_runtimes"),
         ArtifactInfo::traced("ext_resume"),
         ArtifactInfo::traced("ext_thermal"),
@@ -232,7 +231,7 @@ mod manifest_tests {
     #[test]
     fn artifact_registry_names_unique_and_sorted() {
         let reg = artifact_registry();
-        assert_eq!(reg.len(), 28);
+        assert_eq!(reg.len(), 27);
         let names: Vec<&str> = reg.iter().map(|a| a.bin).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();

@@ -25,9 +25,9 @@
 //!   depends only on the tick length; it is cached keyed on the bit pattern
 //!   of `dt_s`.
 //! - **Flat-window average.** When a tick is at least as long as the RAPL
-//!   window, the measurement window sees only the step just recorded; the
-//!   average is computed with the same two flops `average_w` would end with,
-//!   skipping the deque walk but not changing a bit.
+//!   window, the measurement window sees only the step just recorded;
+//!   [`RaplWindow::average_w`] then skips its deque walk without changing
+//!   a bit (the same rule serves the scalar path).
 //! - **Skipped dead state.** Counter banks, package-level energy and the
 //!   variation multiplies (`x * 1.0` is bitwise `x` for finite `x`) are
 //!   elided because no consumer on this path reads them.
@@ -559,17 +559,7 @@ impl NodeBatch {
             // RAPL bookkeeping + one control action, as in `Package::step`.
             if let Some((cap, win)) = &mut self.pkgs.caps[lane] {
                 win.record(now, p_w);
-                let end = now + dt;
-                let avg = if dt >= win.window() {
-                    // The window sees only the step just recorded, so the
-                    // average is flat at `p_w`. Replicate `average_w`'s two
-                    // final flops so the bits agree with the general path.
-                    let from = SimTime(end.0.saturating_sub(win.window().0));
-                    let span = end.since(from).as_secs_f64();
-                    (p_w * span) / span
-                } else {
-                    win.average_w(end)
-                };
+                let avg = win.average_w(now + dt);
                 if !hold_climb || avg > cap.cap_w() {
                     let before = cap.allowed_idx();
                     cap.control(avg, self.top_idx);

@@ -70,22 +70,33 @@ impl RaplWindow {
 
     /// Exact average power over `[now - window, now]`. Time before the first
     /// recorded step counts as zero power.
+    ///
+    /// When the window starts at or after the last recorded step, the signal
+    /// is flat across it: the walk over the steps is skipped, and the
+    /// average is the same two flops the walk ends with, so the bits agree.
     pub fn average_w(&self, now: SimTime) -> f64 {
         let from = SimTime(now.0.saturating_sub(self.window.0));
         let mut energy = 0.0;
         let mut prev_t = from;
         let mut prev_p = 0.0;
-        for &(t, p) in &self.steps {
-            if t <= from {
-                prev_p = p;
-                continue;
+        match self.steps.back() {
+            // Every step is at or before `from`; the walk would only carry
+            // the last one's value to it.
+            Some(&(t, p)) if t <= from => prev_p = p,
+            _ => {
+                for &(t, p) in &self.steps {
+                    if t <= from {
+                        prev_p = p;
+                        continue;
+                    }
+                    if t >= now {
+                        break;
+                    }
+                    energy += prev_p * t.since(prev_t).as_secs_f64();
+                    prev_t = t;
+                    prev_p = p;
+                }
             }
-            if t >= now {
-                break;
-            }
-            energy += prev_p * t.since(prev_t).as_secs_f64();
-            prev_t = t;
-            prev_p = p;
         }
         energy += prev_p * now.since(prev_t).as_secs_f64();
         let span = now.since(from).as_secs_f64();
@@ -205,9 +216,88 @@ impl PowerCap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
+    }
+
+    /// The average as a plain walk over every recorded step, with no
+    /// flat-window shortcut: the oracle `average_w` must match bit for bit.
+    fn walked_average_w(w: &RaplWindow, now: SimTime) -> f64 {
+        let from = SimTime(now.0.saturating_sub(w.window.0));
+        let mut energy = 0.0;
+        let mut prev_t = from;
+        let mut prev_p = 0.0;
+        for &(t, p) in &w.steps {
+            if t <= from {
+                prev_p = p;
+                continue;
+            }
+            if t >= now {
+                break;
+            }
+            energy += prev_p * t.since(prev_t).as_secs_f64();
+            prev_t = t;
+            prev_p = p;
+        }
+        energy += prev_p * now.since(prev_t).as_secs_f64();
+        let span = now.since(from).as_secs_f64();
+        if span <= 0.0 {
+            prev_p
+        } else {
+            energy / span
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random step sequences, each followed by queries at the window
+        /// edges: `now - window` equal to the last step (the flat case's
+        /// boundary), one microsecond either side of it, equal to every
+        /// retained step, and an arbitrary later time.
+        #[test]
+        fn average_w_matches_the_walk(
+            window_us in 1u64..3_000_000,
+            steps in prop::collection::vec((0u32..4, 0u64..4_000_000, 0u32..8, 0.0f64..500.0), 1..40),
+            late_us in 0u64..8_000_000,
+        ) {
+            let window = SimDuration::from_micros(window_us);
+            let mut w = RaplWindow::new(window);
+            let mut t = SimTime::ZERO;
+            for &(gap_kind, gap_us, power_kind, power) in &steps {
+                t += match gap_kind {
+                    0 => SimDuration::ZERO,
+                    1 => window,
+                    _ => SimDuration::from_micros(gap_us),
+                };
+                let power = match power_kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => power,
+                };
+                w.record(t, power);
+                let mut queries = vec![
+                    SimTime::ZERO,
+                    t,
+                    t + window,
+                    t + window + SimDuration::from_micros(1),
+                    t + SimDuration::from_micros(late_us),
+                ];
+                if window_us > 1 {
+                    queries.push(t + (window - SimDuration::from_micros(1)));
+                }
+                queries.extend(w.steps.iter().map(|&(at, _)| at + window));
+                for now in queries {
+                    prop_assert_eq!(
+                        w.average_w(now).to_bits(),
+                        walked_average_w(&w, now).to_bits(),
+                        "window {:?}, steps {:?}, now {:?}", window, w.steps, now
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1395,22 +1395,14 @@ impl Scheduler {
                 }
                 continue;
             }
-            let mut agent_refs: Vec<&mut dyn RuntimeAgent> = job
-                .agents
-                .iter_mut()
-                .map(|b| b.as_mut() as &mut dyn RuntimeAgent)
-                .collect();
             let reached = job
                 .runner
-                .advance(self.now, end, &mut job.nodes, &mut agent_refs);
+                .advance_boxed(self.now, end, &mut job.nodes, &mut job.agents);
             // Nodes idle out the remainder of the quantum after completion.
             if job.runner.is_complete() && reached < end {
-                let mut t = reached;
                 for nm in job.nodes.iter_mut() {
-                    nm.step_idle(t, end.since(t));
+                    nm.step_idle(reached, end.since(reached));
                 }
-                t = end;
-                let _ = t;
             }
             self.allocated_node_seconds += job.nodes.len() as f64 * quantum.as_secs_f64();
         }
@@ -1619,13 +1611,8 @@ impl Scheduler {
             if job.paused.is_some() {
                 continue;
             }
-            let mut agent_refs: Vec<&mut dyn RuntimeAgent> = job
-                .agents
-                .iter_mut()
-                .map(|b| b.as_mut() as &mut dyn RuntimeAgent)
-                .collect();
             job.runner
-                .advance(self.now, end, &mut job.nodes, &mut agent_refs);
+                .advance_boxed(self.now, end, &mut job.nodes, &mut job.agents);
             self.allocated_node_seconds += job.nodes.len() as f64 * eps.as_secs_f64();
         }
         self.now = end;

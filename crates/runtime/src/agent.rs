@@ -28,6 +28,17 @@ pub enum KnobKind {
     PowerCap,
 }
 
+impl KnobKind {
+    /// Every knob kind, in declaration order (the [`Arbiter`] table index).
+    pub const ALL: [KnobKind; 5] = [
+        KnobKind::CoreFreq,
+        KnobKind::MpiFreqOverride,
+        KnobKind::Uncore,
+        KnobKind::Duty,
+        KnobKind::PowerCap,
+    ];
+}
+
 /// Telemetry snapshot handed to agents at control time. All per-node vectors
 /// are indexed by the job-local node index; values are cumulative since job
 /// start, so agents compute their own window deltas.

@@ -9,7 +9,6 @@
 //! conflicts cost (the use case's motivating failure mode).
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 use crate::agent::KnobKind;
 
@@ -25,11 +24,12 @@ pub enum ArbiterMode {
     Naive,
 }
 
-/// The knob-ownership ledger.
+/// The knob-ownership ledger: one owner slot per [`KnobKind`], indexed by
+/// the kind's declaration order, so a knob write checks one array entry.
 #[derive(Debug, Clone)]
 pub struct Arbiter {
     mode: ArbiterMode,
-    owners: HashMap<KnobKind, AgentId>,
+    owners: [Option<AgentId>; KnobKind::ALL.len()],
 }
 
 impl Arbiter {
@@ -37,7 +37,7 @@ impl Arbiter {
     pub fn new(mode: ArbiterMode) -> Self {
         Arbiter {
             mode,
-            owners: HashMap::new(),
+            owners: [None; KnobKind::ALL.len()],
         }
     }
 
@@ -49,10 +49,11 @@ impl Arbiter {
     /// Claim `knob` for `agent`. Returns `true` if the claim holds afterwards
     /// (fresh claim or already owned by the same agent).
     pub fn claim(&mut self, agent: AgentId, knob: KnobKind) -> bool {
-        match self.owners.get(&knob) {
-            Some(&owner) => owner == agent,
+        let slot = &mut self.owners[knob as usize];
+        match *slot {
+            Some(owner) => owner == agent,
             None => {
-                self.owners.insert(knob, agent);
+                *slot = Some(agent);
                 true
             }
         }
@@ -62,8 +63,8 @@ impl Arbiter {
     pub fn allows(&self, agent: AgentId, knob: KnobKind) -> bool {
         match self.mode {
             ArbiterMode::Naive => true,
-            ArbiterMode::Gated => match self.owners.get(&knob) {
-                Some(&owner) => owner == agent,
+            ArbiterMode::Gated => match self.owners[knob as usize] {
+                Some(owner) => owner == agent,
                 // Unclaimed knobs are writable (implicitly claimed on write
                 // by JobRunner registration, which claims up front).
                 None => true,
@@ -73,7 +74,7 @@ impl Arbiter {
 
     /// The current owner of `knob`, if claimed.
     pub fn owner(&self, knob: KnobKind) -> Option<AgentId> {
-        self.owners.get(&knob).copied()
+        self.owners[knob as usize]
     }
 }
 
@@ -82,39 +83,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn first_claim_wins() {
-        let mut a = Arbiter::new(ArbiterMode::Gated);
-        assert!(a.claim(0, KnobKind::CoreFreq));
-        assert!(!a.claim(1, KnobKind::CoreFreq));
-        assert!(a.claim(0, KnobKind::CoreFreq), "re-claim by owner ok");
-        assert_eq!(a.owner(KnobKind::CoreFreq), Some(0));
+    fn table_slots_follow_declaration_order() {
+        for (i, &k) in KnobKind::ALL.iter().enumerate() {
+            // Exhaustive on purpose: a new kind stops this compiling until
+            // it joins `KnobKind::ALL`, which sizes the table.
+            match k {
+                KnobKind::CoreFreq
+                | KnobKind::MpiFreqOverride
+                | KnobKind::Uncore
+                | KnobKind::Duty
+                | KnobKind::PowerCap => {}
+            }
+            assert_eq!(k as usize, i, "{k:?} indexes slot {i}");
+        }
     }
 
+    /// Every `claim`, `allows` and `owner` answer over all knob kinds, in
+    /// both modes. Agent 0 claims the first and third kinds and agent 1 the
+    /// second; the last two stay free. First claims win, owners may
+    /// re-claim, others' claims fail and leave the owner, `Gated` lets only
+    /// the owner (or anyone, on a free knob) write, and `Naive` lets
+    /// everyone write.
     #[test]
-    fn gated_blocks_non_owner() {
-        let mut a = Arbiter::new(ArbiterMode::Gated);
-        a.claim(0, KnobKind::CoreFreq);
-        assert!(a.allows(0, KnobKind::CoreFreq));
-        assert!(!a.allows(1, KnobKind::CoreFreq));
-        // Unclaimed knobs writable by anyone.
-        assert!(a.allows(1, KnobKind::Uncore));
-    }
-
-    #[test]
-    fn naive_allows_everything() {
-        let mut a = Arbiter::new(ArbiterMode::Naive);
-        a.claim(0, KnobKind::CoreFreq);
-        assert!(a.allows(1, KnobKind::CoreFreq));
-    }
-
-    #[test]
-    fn distinct_knobs_distinct_owners() {
-        let mut a = Arbiter::new(ArbiterMode::Gated);
-        assert!(a.claim(0, KnobKind::CoreFreq));
-        assert!(a.claim(1, KnobKind::Uncore));
-        assert!(a.allows(0, KnobKind::CoreFreq));
-        assert!(a.allows(1, KnobKind::Uncore));
-        assert!(!a.allows(1, KnobKind::CoreFreq));
-        assert!(!a.allows(0, KnobKind::Uncore));
+    fn exhaustive_table_in_both_modes() {
+        let owners = [Some(0), Some(1), Some(0), None, None];
+        for mode in [ArbiterMode::Gated, ArbiterMode::Naive] {
+            let mut a = Arbiter::new(mode);
+            assert_eq!(a.mode(), mode);
+            for (&k, &owner) in KnobKind::ALL.iter().zip(&owners) {
+                assert_eq!(a.owner(k), None, "{mode:?} {k:?} starts free");
+                if let Some(o) = owner {
+                    assert!(a.claim(o, k), "{mode:?} {k:?}: first claim wins");
+                }
+            }
+            for (&k, &owner) in KnobKind::ALL.iter().zip(&owners) {
+                assert_eq!(a.owner(k), owner, "{mode:?} {k:?}");
+                for agent in 0..3 {
+                    let holds = owner.is_none_or(|o| o == agent);
+                    let allows = mode == ArbiterMode::Naive || holds;
+                    assert_eq!(a.allows(agent, k), allows, "{mode:?} {k:?} agent {agent}");
+                    let mut b = a.clone();
+                    assert_eq!(b.claim(agent, k), holds, "{mode:?} {k:?} agent {agent}");
+                    assert_eq!(b.owner(k), owner.or(Some(agent)), "{mode:?} {k:?}");
+                }
+            }
+        }
     }
 }

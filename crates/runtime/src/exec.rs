@@ -10,6 +10,23 @@
 //! (a) the next phase completion on any node, (b) the next agent control
 //! tick, or (c) the caller's horizon. This keeps phase accounting exact even
 //! when application phases are much shorter than the caller's quantum.
+//!
+//! Sub-steps are many (GEOPM's 100 ms control period cuts a 1 s quantum
+//! into ten), so each is kept cheap:
+//!
+//! - each live node's work rate is computed once per sub-step, while the
+//!   sub-step is chosen, and reused for its cursor advance (nothing touches
+//!   the node in between, so the bits are those of a second call);
+//! - the runner owns one [`JobTelemetry`] and refreshes it in place before
+//!   each due agent's control tick, still once per agent so a second
+//!   co-resident agent sees the first one's knob writes;
+//! - region hooks borrow the region name and mixture from the cursor;
+//! - [`JobRunner::advance_boxed`] drives the agents the RM owns without a
+//!   per-call slice of references.
+//!
+//! Node physics stays the scalar `Node::step` oracle; a capped node's RAPL
+//! average skips its step walk when the window is flat (see
+//! `pstack_hwmodel::RaplWindow::average_w`).
 
 use crate::agent::{ArbitratedNodes, JobTelemetry, RuntimeAgent, BARRIER_REGION};
 use crate::arbiter::{Arbiter, ArbiterMode};
@@ -18,6 +35,7 @@ use pstack_apps::MpiModel;
 use pstack_hwmodel::{PhaseKind, PhaseMix};
 use pstack_node::{NodeManager, Signal, WorkloadCursor};
 use pstack_sim::{SeedTree, SimDuration, SimTime};
+use std::borrow::BorrowMut;
 
 /// Summary of a completed job.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,6 +105,11 @@ pub struct JobRunner {
     start_energy: Vec<f64>,
     wait_s: Vec<f64>,
     work_done: Vec<f64>,
+    /// Each live node's work rate in the current sub-step: computed while
+    /// choosing the sub-step, reused for the cursor advance.
+    rates: Vec<f64>,
+    /// What agents see at control ticks, refreshed in place per tick.
+    telemetry: JobTelemetry,
     next_control: Vec<SimTime>,
     /// Upper bound on one micro-step. Keeps the RAPL cap controllers and
     /// thermal integration responsive inside long application phases.
@@ -133,6 +156,17 @@ impl JobRunner {
             start_energy: vec![0.0; n_nodes],
             wait_s: vec![0.0; n_nodes],
             work_done: vec![0.0; n_nodes],
+            rates: vec![0.0; n_nodes],
+            telemetry: JobTelemetry {
+                now: SimTime::ZERO,
+                elapsed: SimDuration::ZERO,
+                node_power_w: vec![0.0; n_nodes],
+                node_progress: vec![0.0; n_nodes],
+                node_wait_s: vec![0.0; n_nodes],
+                node_freq_ghz: vec![0.0; n_nodes],
+                node_energy_j: vec![0.0; n_nodes],
+                current_regions: vec![None; n_nodes],
+            },
             next_control: Vec::new(),
             cursors,
             cores_per_node: usize::MAX, // set at start from node config
@@ -188,11 +222,11 @@ impl JobRunner {
         }
     }
 
-    fn start(
+    fn start<'a, A: BorrowMut<dyn RuntimeAgent + 'a>>(
         &mut self,
         now: SimTime,
         nodes: &mut [NodeManager],
-        agents: &mut [&mut dyn RuntimeAgent],
+        agents: &mut [A],
     ) {
         self.started = Some(now);
         self.cores_per_node = nodes
@@ -202,8 +236,12 @@ impl JobRunner {
         for (i, n) in nodes.iter().enumerate() {
             self.start_energy[i] = n.read(Signal::NodeEnergyJoules);
         }
-        self.next_control = agents.iter().map(|a| now + a.control_period()).collect();
+        self.next_control = agents
+            .iter()
+            .map(|a| now + a.borrow().control_period())
+            .collect();
         for (ai, agent) in agents.iter_mut().enumerate() {
+            let agent = agent.borrow_mut();
             for knob in agent.knobs() {
                 self.arbiter.claim(ai, knob);
             }
@@ -212,35 +250,36 @@ impl JobRunner {
         }
     }
 
-    fn telemetry(&self, now: SimTime, nodes: &[NodeManager]) -> JobTelemetry {
-        JobTelemetry {
-            now,
-            elapsed: now.since(self.started.expect("started")),
-            node_power_w: nodes
-                .iter()
-                .map(|n| n.read(Signal::NodePowerWatts))
-                .collect(),
-            node_progress: self.work_done.clone(),
-            node_wait_s: self.wait_s.clone(),
-            node_freq_ghz: nodes.iter().map(|n| n.read(Signal::CoreFreqGhz)).collect(),
-            node_energy_j: nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| n.read(Signal::NodeEnergyJoules) - self.start_energy[i])
-                .collect(),
-            current_regions: self
-                .cursors
-                .iter()
-                .map(|c| {
-                    if c.is_complete() {
-                        None
-                    } else if c.at_barrier() {
-                        Some(BARRIER_REGION.to_string())
-                    } else {
-                        c.current_region().map(str::to_string)
+    /// Bring the runner's telemetry up to `now`, in place. A region name is
+    /// copied into its node's existing `String` only when it changed, so a
+    /// tick allocates nothing once each node has held its longest name.
+    fn refresh_telemetry(&mut self, now: SimTime, nodes: &[NodeManager]) {
+        let tel = &mut self.telemetry;
+        tel.now = now;
+        tel.elapsed = now.since(self.started.expect("started"));
+        tel.node_progress.copy_from_slice(&self.work_done);
+        tel.node_wait_s.copy_from_slice(&self.wait_s);
+        for (i, n) in nodes.iter().enumerate() {
+            tel.node_power_w[i] = n.read(Signal::NodePowerWatts);
+            tel.node_freq_ghz[i] = n.read(Signal::CoreFreqGhz);
+            tel.node_energy_j[i] = n.read(Signal::NodeEnergyJoules) - self.start_energy[i];
+        }
+        for (slot, c) in tel.current_regions.iter_mut().zip(&self.cursors) {
+            // `current_region` is `None` once the cursor is complete.
+            let region = if c.at_barrier() {
+                Some(BARRIER_REGION)
+            } else {
+                c.current_region()
+            };
+            match (slot.as_mut(), region) {
+                (Some(held), Some(r)) => {
+                    if held != r {
+                        held.clear();
+                        held.push_str(r);
                     }
-                })
-                .collect(),
+                }
+                (_, r) => *slot = r.map(str::to_string),
+            }
         }
     }
 
@@ -259,6 +298,30 @@ impl JobRunner {
         nodes: &mut [NodeManager],
         agents: &mut [&mut dyn RuntimeAgent],
     ) -> SimTime {
+        self.drive(now, horizon, nodes, agents)
+    }
+
+    /// [`JobRunner::advance`] over agents the caller owns (as the RM holds
+    /// them), with no slice of references built per call.
+    pub fn advance_boxed(
+        &mut self,
+        now: SimTime,
+        horizon: SimTime,
+        nodes: &mut [NodeManager],
+        agents: &mut [Box<dyn RuntimeAgent>],
+    ) -> SimTime {
+        self.drive(now, horizon, nodes, agents)
+    }
+
+    /// The sub-step loop behind [`JobRunner::advance`] and
+    /// [`JobRunner::advance_boxed`].
+    fn drive<'a, A: BorrowMut<dyn RuntimeAgent + 'a>>(
+        &mut self,
+        now: SimTime,
+        horizon: SimTime,
+        nodes: &mut [NodeManager],
+        agents: &mut [A],
+    ) -> SimTime {
         assert!(horizon >= now, "horizon before now");
         assert_eq!(nodes.len(), self.cursors.len(), "node count mismatch");
         if self.is_complete() {
@@ -271,14 +334,16 @@ impl JobRunner {
         while t < horizon && !self.is_complete() {
             self.fire_region_hooks(t, nodes, agents);
 
-            // Choose the sub-step.
+            // Choose the sub-step, keeping each live node's work rate for
+            // its cursor advance below: no node changes in between.
             let mut sub = horizon.since(t).min(self.max_substep);
             for (i, c) in self.cursors.iter().enumerate() {
                 if c.is_complete() || c.at_barrier() {
                     continue;
                 }
-                let mix = c.current_mix().expect("in phase").clone();
-                let rate = nodes[i].node().work_rate(&mix, self.cores_per_node);
+                let mix = c.current_mix().expect("in phase");
+                let rate = nodes[i].node().work_rate(mix, self.cores_per_node);
+                self.rates[i] = rate;
                 if rate > 0.0 {
                     let to_finish = SimDuration::from_secs_f64_ceil(c.remaining_in_phase() / rate);
                     sub = sub.min(to_finish);
@@ -300,14 +365,13 @@ impl JobRunner {
                     continue;
                 }
                 if c.at_barrier() {
-                    nodes[i].step(t, sub, &self.wait_mix.clone(), self.cores_per_node);
+                    nodes[i].step(t, sub, &self.wait_mix, self.cores_per_node);
                     self.wait_s[i] += sub.as_secs_f64();
                     continue;
                 }
-                let mix = c.current_mix().expect("in phase").clone();
-                let rate = nodes[i].node().work_rate(&mix, self.cores_per_node);
-                nodes[i].step(t, sub, &mix, self.cores_per_node);
-                let adv = c.advance(rate, sub.as_secs_f64());
+                let mix = c.current_mix().expect("in phase");
+                nodes[i].step(t, sub, mix, self.cores_per_node);
+                let adv = c.advance(self.rates[i], sub.as_secs_f64());
                 self.work_done[i] += adv.work_done;
                 if adv.phase_completed {
                     // The tail of the sub-step beyond completion is wait,
@@ -337,17 +401,21 @@ impl JobRunner {
                 self.completed_at = Some(t);
                 for (ai, agent) in agents.iter_mut().enumerate() {
                     let mut ctl = ArbitratedNodes::new(nodes, &self.arbiter, ai, t);
-                    agent.on_job_end(&mut ctl);
+                    agent.borrow_mut().on_job_end(&mut ctl);
                 }
                 break;
             }
 
-            // Control ticks.
+            // Control ticks, each on telemetry refreshed after the previous
+            // agent's knob writes.
             for (ai, agent) in agents.iter_mut().enumerate() {
                 if self.next_control[ai] <= t {
-                    let telemetry = self.telemetry(t, nodes);
+                    let agent = agent.borrow_mut();
+                    self.refresh_telemetry(t, nodes);
+                    #[cfg(test)]
+                    tests::assert_fresh_telemetry(self, t, nodes);
                     let mut ctl = ArbitratedNodes::new(nodes, &self.arbiter, ai, t);
-                    agent.on_control(t, &telemetry, &mut ctl);
+                    agent.on_control(t, &self.telemetry, &mut ctl);
                     self.next_control[ai] = t + agent.control_period();
                 }
             }
@@ -355,25 +423,28 @@ impl JobRunner {
         t
     }
 
-    fn fire_region_hooks(
+    fn fire_region_hooks<'a, A: BorrowMut<dyn RuntimeAgent + 'a>>(
         &mut self,
         t: SimTime,
         nodes: &mut [NodeManager],
-        agents: &mut [&mut dyn RuntimeAgent],
+        agents: &mut [A],
     ) {
         for i in 0..self.cursors.len() {
-            if self.region_fired[i] || self.cursors[i].is_complete() {
+            let c = &self.cursors[i];
+            if self.region_fired[i] || c.is_complete() {
                 continue;
             }
-            let (region, mix) = if self.cursors[i].at_barrier() {
-                (BARRIER_REGION.to_string(), self.wait_mix.clone())
+            let (region, mix) = if c.at_barrier() {
+                (BARRIER_REGION, &self.wait_mix)
             } else {
-                let p = self.cursors[i].current_phase().expect("in phase");
-                (p.region.clone(), p.mix.clone())
+                let p = c.current_phase().expect("in phase");
+                (p.region.as_str(), &p.mix)
             };
             for (ai, agent) in agents.iter_mut().enumerate() {
                 let mut ctl = ArbitratedNodes::new(nodes, &self.arbiter, ai, t);
-                agent.on_region_enter(t, i, &region, &mix, &mut ctl);
+                agent
+                    .borrow_mut()
+                    .on_region_enter(t, i, region, mix, &mut ctl);
             }
             self.region_fired[i] = true;
         }
@@ -425,7 +496,78 @@ mod tests {
     use super::*;
     use pstack_apps::synthetic::{Profile, SyntheticApp};
     use pstack_apps::workload::AppModel;
-    use pstack_hwmodel::{Node, NodeConfig, NodeId};
+    use pstack_hwmodel::{Node, NodeConfig, NodeId, VariationModel};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Control ticks whose telemetry was checked on this thread.
+        static TELEMETRY_CHECKS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// A fresh telemetry snapshot built from scratch, as the runner did
+    /// before it kept one buffer: the oracle for the in-place refresh.
+    fn built_telemetry(r: &JobRunner, now: SimTime, nodes: &[NodeManager]) -> JobTelemetry {
+        JobTelemetry {
+            now,
+            elapsed: now.since(r.started.expect("started")),
+            node_power_w: nodes
+                .iter()
+                .map(|n| n.read(Signal::NodePowerWatts))
+                .collect(),
+            node_progress: r.work_done.clone(),
+            node_wait_s: r.wait_s.clone(),
+            node_freq_ghz: nodes.iter().map(|n| n.read(Signal::CoreFreqGhz)).collect(),
+            node_energy_j: nodes
+                .iter()
+                .enumerate()
+                .map(|(i, n)| n.read(Signal::NodeEnergyJoules) - r.start_energy[i])
+                .collect(),
+            current_regions: r
+                .cursors
+                .iter()
+                .map(|c| {
+                    if c.is_complete() {
+                        None
+                    } else if c.at_barrier() {
+                        Some(BARRIER_REGION.to_string())
+                    } else {
+                        c.current_region().map(str::to_string)
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    /// Every field of `t`, with each float as its bits.
+    #[allow(clippy::type_complexity)]
+    fn telemetry_bits(
+        t: &JobTelemetry,
+    ) -> (SimTime, SimDuration, [Vec<u64>; 5], Vec<Option<String>>) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            t.now,
+            t.elapsed,
+            [
+                bits(&t.node_power_w),
+                bits(&t.node_progress),
+                bits(&t.node_wait_s),
+                bits(&t.node_freq_ghz),
+                bits(&t.node_energy_j),
+            ],
+            t.current_regions.clone(),
+        )
+    }
+
+    /// Called by the runner at every control tick of a test build, with the
+    /// telemetry it is about to hand the agent.
+    pub(super) fn assert_fresh_telemetry(r: &JobRunner, now: SimTime, nodes: &[NodeManager]) {
+        assert_eq!(
+            telemetry_bits(&r.telemetry),
+            telemetry_bits(&built_telemetry(r, now, nodes)),
+            "refreshed telemetry differs from a fresh build at {now:?}"
+        );
+        TELEMETRY_CHECKS.with(|c| c.set(c.get() + 1));
+    }
 
     fn fleet(n: usize) -> Vec<NodeManager> {
         (0..n)
@@ -626,5 +768,179 @@ mod tests {
             "{} control calls over {makespan}s",
             counter.calls
         );
+    }
+
+    /// Every shipped agent, alone and as the COUNTDOWN+MERIC pair sharing
+    /// one arbiter, on varied multi-node jobs: each control tick's
+    /// telemetry equals a fresh build bit for bit (checked inside the
+    /// runner), and the regions it reports pass through barriers and
+    /// completion.
+    #[test]
+    fn refreshed_telemetry_matches_a_fresh_build_under_every_agent() {
+        use crate::{
+            Conductor, Countdown, CountdownMode, DutyCycleAdapter, Geopm, GeopmPolicy, Meric,
+            UncoreScavenger,
+        };
+        use std::collections::HashMap;
+
+        /// Forwards every hook and records the regions seen at each tick.
+        struct Watch<'a> {
+            inner: &'a mut dyn RuntimeAgent,
+            seen: Vec<Option<String>>,
+        }
+        impl RuntimeAgent for Watch<'_> {
+            fn name(&self) -> &str {
+                self.inner.name()
+            }
+            fn knobs(&self) -> Vec<crate::agent::KnobKind> {
+                self.inner.knobs()
+            }
+            fn control_period(&self) -> SimDuration {
+                self.inner.control_period()
+            }
+            fn on_job_start(&mut self, ctl: &mut ArbitratedNodes<'_>) {
+                self.inner.on_job_start(ctl);
+            }
+            fn on_region_enter(
+                &mut self,
+                now: SimTime,
+                node: usize,
+                region: &str,
+                mix: &PhaseMix,
+                ctl: &mut ArbitratedNodes<'_>,
+            ) {
+                self.inner.on_region_enter(now, node, region, mix, ctl);
+            }
+            fn on_control(
+                &mut self,
+                now: SimTime,
+                telemetry: &JobTelemetry,
+                ctl: &mut ArbitratedNodes<'_>,
+            ) {
+                self.seen.extend(telemetry.current_regions.iter().cloned());
+                self.inner.on_control(now, telemetry, ctl);
+            }
+            fn on_job_end(&mut self, ctl: &mut ArbitratedNodes<'_>) {
+                self.inner.on_job_end(ctl);
+            }
+        }
+
+        // Agents keep per-job state, so every job gets a fresh kit.
+        let kit = |k: usize| -> (&str, Vec<Box<dyn RuntimeAgent>>) {
+            let geopm =
+                |p: GeopmPolicy| -> Vec<Box<dyn RuntimeAgent>> { vec![Box::new(Geopm::new(p))] };
+            match k {
+                0 => ("geopm monitor", geopm(GeopmPolicy::Monitor)),
+                1 => (
+                    "geopm governor",
+                    geopm(GeopmPolicy::PowerGovernor { node_cap_w: 300.0 }),
+                ),
+                2 => (
+                    "geopm balancer",
+                    geopm(GeopmPolicy::PowerBalancer {
+                        job_budget_w: 900.0,
+                    }),
+                ),
+                3 => (
+                    "geopm frequency map",
+                    geopm(GeopmPolicy::FrequencyMap {
+                        default_ghz: 2.8,
+                        map: HashMap::from([("dgemm_like".to_string(), 2.0)]),
+                    }),
+                ),
+                4 => (
+                    "geopm energy efficient",
+                    geopm(GeopmPolicy::EnergyEfficient { perf_margin: 0.2 }),
+                ),
+                5 => (
+                    "countdown",
+                    vec![Box::new(Countdown::new(CountdownMode::WaitAndCopy))],
+                ),
+                6 => ("meric", vec![Box::new(Meric::new())]),
+                7 => (
+                    "conductor",
+                    vec![Box::new(Conductor::new(
+                        crate::conductor::ConductorConfig::with_budget(900.0),
+                    ))],
+                ),
+                8 => ("duty cycle", vec![Box::new(DutyCycleAdapter::new())]),
+                9 => ("scavenger", vec![Box::new(UncoreScavenger::new())]),
+                _ => (
+                    "countdown+meric",
+                    vec![
+                        Box::new(Countdown::new(CountdownMode::WaitAndCopy)),
+                        Box::new(Meric::new().with_comm_delegation()),
+                    ],
+                ),
+            }
+        };
+        for k in 0..11 {
+            for (profile, n, seed) in [(Profile::Mixed, 3, 11), (Profile::CommHeavy, 4, 12)] {
+                let (name, mut agents) = kit(k);
+                let app = SyntheticApp::new(profile, 12.0, 6);
+                let seeds = SeedTree::new(seed);
+                let mut nodes = NodeManager::fleet(
+                    n,
+                    NodeConfig::server_default(),
+                    &VariationModel::typical(),
+                    &seeds,
+                );
+                let mut runner = JobRunner::new(
+                    &app.workload(n),
+                    n,
+                    &MpiModel::typical(),
+                    &seeds.subtree("job"),
+                    ArbiterMode::Gated,
+                );
+                let mut watches: Vec<Watch<'_>> = agents
+                    .iter_mut()
+                    .map(|a| Watch {
+                        inner: a.as_mut(),
+                        seen: Vec::new(),
+                    })
+                    .collect();
+                let before = TELEMETRY_CHECKS.with(Cell::get);
+                {
+                    let mut refs: Vec<&mut dyn RuntimeAgent> = watches
+                        .iter_mut()
+                        .map(|w| w as &mut dyn RuntimeAgent)
+                        .collect();
+                    let mut t = SimTime::ZERO;
+                    // Odd horizons split sub-steps across calls as the RM does.
+                    while !runner.is_complete() {
+                        t = runner.advance(
+                            t,
+                            t + SimDuration::from_millis(730),
+                            &mut nodes,
+                            &mut refs,
+                        );
+                    }
+                }
+                let checks = TELEMETRY_CHECKS.with(Cell::get) - before;
+                let ticks: usize = watches.iter().map(|w| w.seen.len() / n).sum();
+                assert!(ticks > 10, "{name}: only {ticks} control ticks");
+                assert_eq!(checks, ticks, "{name}: every tick is checked");
+                let seen = watches.iter().flat_map(|w| w.seen.iter());
+                let (mut barrier, mut phase) = (0, 0);
+                for r in seen {
+                    match r.as_deref() {
+                        Some(BARRIER_REGION) => barrier += 1,
+                        Some(_) => phase += 1,
+                        None => {}
+                    }
+                }
+                assert!(
+                    barrier > 0 && phase > 0,
+                    "{name}: regions {barrier} barrier, {phase} phase"
+                );
+                // Every cursor completes at the final barrier release, so no
+                // tick sees a finished node; a refresh after completion
+                // clears every region.
+                let end = runner.completed_at().expect("complete");
+                runner.refresh_telemetry(end, &nodes);
+                assert_fresh_telemetry(&runner, end, &nodes);
+                assert!(runner.telemetry.current_regions.iter().all(Option::is_none));
+            }
+        }
     }
 }

@@ -76,8 +76,6 @@ pub struct Geopm {
     tx: crossbeam::channel::Sender<PolicyUpdate>,
     /// Balancer state: current per-node caps.
     caps_w: Vec<f64>,
-    /// Balancer state: last-seen per-node wait seconds.
-    last_wait_s: Vec<f64>,
     /// Balancer state: smoothed per-node effective frequency (EMA).
     freq_ema: Vec<f64>,
     /// Telemetry tree topology (for message accounting / reports).
@@ -100,7 +98,6 @@ impl Geopm {
             rx,
             tx,
             caps_w: Vec::new(),
-            last_wait_s: Vec::new(),
             freq_ema: Vec::new(),
             tree: None,
             samples: 0,
@@ -198,7 +195,6 @@ impl RuntimeAgent for Geopm {
     fn on_job_start(&mut self, ctl: &mut ArbitratedNodes<'_>) {
         let n = ctl.n_nodes();
         self.tree = Some(TreeAggregator::new(n, 8));
-        self.last_wait_s = vec![0.0; n];
         self.freq_ema = vec![0.0; n];
         self.apply_power_policy(ctl);
     }
@@ -221,11 +217,16 @@ impl RuntimeAgent for Geopm {
                     ctl.set_freq_limit_ghz(node, 1.2);
                     return;
                 }
-                let margin = *perf_margin;
-                let f = *self
-                    .region_freq
-                    .entry(region.to_string())
-                    .or_insert_with(|| Self::efficient_freq(mix, margin));
+                // Look up before inserting: a region seen before costs no
+                // `String`.
+                let f = match self.region_freq.get(region) {
+                    Some(&f) => f,
+                    None => {
+                        let f = Self::efficient_freq(mix, *perf_margin);
+                        self.region_freq.insert(region.to_string(), f);
+                        f
+                    }
+                };
                 ctl.set_freq_limit_ghz(node, f);
             }
             _ => {}
@@ -265,7 +266,6 @@ impl RuntimeAgent for Geopm {
                 self.freq_ema[i] =
                     (1.0 - alpha) * self.freq_ema[i] + alpha * telemetry.node_freq_ghz[i];
             }
-            self.last_wait_s = telemetry.node_wait_s.clone();
             let ema = &self.freq_ema;
             let max_f = ema.iter().cloned().fold(0.0, f64::max);
             let min_f = ema.iter().cloned().fold(f64::INFINITY, f64::min);

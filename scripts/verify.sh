@@ -97,8 +97,6 @@ stage_chaosfleet() {
     local out
     out=$(stage_results_dir chaosfleet)
     POWERSTACK_RESULTS_DIR="$out" POWERSTACK_CHAOSFLEET_SMOKE=1 \
-        cargo run -q --release -p pstack-bench --bin ext_fleetfaults
-    POWERSTACK_RESULTS_DIR="$out" POWERSTACK_CHAOSFLEET_SMOKE=1 \
         cargo run -q --release -p pstack-bench --bin bench_fleetfaults
     # The gate must demonstrably trip: an injected regression exits nonzero.
     if POWERSTACK_RESULTS_DIR="$out" POWERSTACK_CHAOSFLEET_SMOKE=1 \
@@ -121,10 +119,27 @@ stage_perfgate() {
         --require bench_evalthroughput --require ext_thermal --require ext_new_runtimes
 }
 
+# Run perfbench once with the given arguments; fail unless it exits 0 and
+# its closing JSON line reports "correct": true.
+perfbench_smoke() {
+    local out
+    out=$(cargo run --quiet --release --offline --locked --manifest-path perfbench/Cargo.toml -- "$@")
+    if ! tail -n 1 <<<"$out" | grep -q '"correct": true'; then
+        echo "perfbench $*: the report does not say \"correct\": true" >&2
+        exit 1
+    fi
+    echo "perfbench $*: correct"
+}
+
 stage_perfbench() {
-    echo "== perfbench (the locked repository benchmark builds and passes its tests) =="
+    echo "== perfbench (the locked repository benchmark builds, passes its tests and runs every workload) =="
     cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
     cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
+    local w
+    for w in fleet_loaded fleet_sparse tune_fastpath tune_sessions; do
+        perfbench_smoke --workload "$w" --seed 1 --seconds 1 --trace 0
+    done
+    perfbench_smoke --workload fleet_loaded --seed 1 --seconds 1 --trace 1
 }
 
 stage_clippy() {
