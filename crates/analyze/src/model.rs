@@ -20,7 +20,6 @@ use pstack_autotune::{
 use pstack_faults::{FaultPlan, FleetFaultPlan};
 use pstack_history::{HistoryStore, SpaceShape, HISTORY_FORMAT_VERSION};
 use pstack_hwmodel::NodeConfig;
-use std::path::PathBuf;
 
 /// One row of the declared lock hierarchy (PSA017 checks the declaration
 /// covers every `pstack_sync::sites` entry and that the `may_acquire`
@@ -314,10 +313,6 @@ pub struct FrameworkModel {
     /// monotonicity, same-instant rank order, event conservation, and that
     /// enclave budget shards sum to the site budget exactly).
     pub events: EventModelSpec,
-    /// Root of the source tree PSA018 scans for raw `std::sync` primitives
-    /// in library code. `None` skips the scan (reported as Info, never
-    /// silently).
-    pub source_root: Option<PathBuf>,
 }
 
 impl FrameworkModel {
@@ -370,7 +365,6 @@ impl FrameworkModel {
             },
             lock_hierarchy: Self::shipped_lock_hierarchy(),
             events: EventModelSpec::shipped(),
-            source_root: Self::shipped_source_root(),
         }
     }
 
@@ -403,16 +397,5 @@ impl FrameworkModel {
             LockSiteDecl::new(sites::TRACE_SPAN_ID, 51, &[]),
             LockSiteDecl::new(sites::TRACE_TID, 52, &[]),
         ]
-    }
-
-    /// Workspace root for the shipped model, resolved from this crate's
-    /// compile-time manifest path (…/crates/analyze → workspace root two
-    /// levels up). `None` when the tree was moved after compilation.
-    fn shipped_source_root() -> Option<PathBuf> {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .parent()?
-            .parent()?
-            .to_path_buf();
-        root.join("crates").is_dir().then_some(root)
     }
 }

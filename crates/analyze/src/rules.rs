@@ -2,6 +2,9 @@
 //!
 //! Every rule is a [`Lint`] with a stable ID (`PSA001`..`PSA021`), a
 //! one-line description, and a pure `check` over a [`FrameworkModel`].
+//! IDs are never reused: PSA018, the old raw-`std::sync` source scan, is
+//! retired, because `clippy.toml`'s `disallowed-types` and
+//! `disallowed-methods` enforce that ban in the compiler.
 //! Rules never mutate anything and never read the environment, so the
 //! report for a given model is byte-deterministic. [`registry`] returns
 //! them in fixed ID order; [`crate::analyze`] runs them all.
@@ -50,7 +53,6 @@ pub fn registry() -> Vec<Box<dyn Lint>> {
         Box::new(CheckpointSchema),
         Box::new(ScalarEquivalenceCoverage),
         Box::new(LockHierarchyCoverage),
-        Box::new(RawSyncPrimitives),
         Box::new(HistoryKeySanity),
         Box::new(EventScheduleSanity),
         Box::new(FleetFaultPlanSanity),
@@ -1518,148 +1520,6 @@ fn declared_cycle(decls: &[crate::model::LockSiteDecl]) -> Option<Vec<String>> {
 }
 
 // ---------------------------------------------------------------------------
-// PSA018 — raw-sync-primitive scan
-// ---------------------------------------------------------------------------
-
-/// Library code must go through the instrumented `pstack-sync` wrappers:
-/// a raw `std::sync` `Mutex`/`RwLock`/`Condvar` or bare counter atomic in a
-/// `crates/*/src` file is invisible to the lock-order graph, the schedule
-/// explorer, and the poison-recovery policy all at once. The scan walks the
-/// real source tree; `pstack-sync` itself, binary targets, test files, and
-/// `#[cfg(test)]` modules are exempt (tests may exercise raw primitives
-/// deliberately), as are comment lines.
-pub struct RawSyncPrimitives;
-
-/// The `std::sync` path prefix, assembled so this rule's own source never
-/// matches the needle it scans for.
-const STD_SYNC: &str = concat!("std::", "sync::");
-
-/// Banned type tokens: holding primitives plus the counter atomics the
-/// wrappers cover. `Arc`, `Once`, and `mpsc` stay allowed — they are not
-/// lock-shaped and take no part in the hierarchy.
-const BANNED: [&str; 5] = [
-    concat!("Mut", "ex"),
-    concat!("RwL", "ock"),
-    concat!("Cond", "var"),
-    concat!("AtomicU", "size"),
-    concat!("AtomicU", "64"),
-];
-
-/// Marker that exempts the remainder of a file (test module follows).
-const TEST_MARKER: &str = concat!("#[cfg(te", "st)]");
-
-impl Lint for RawSyncPrimitives {
-    fn id(&self) -> &'static str {
-        "PSA018"
-    }
-    fn name(&self) -> &'static str {
-        "raw-sync-primitives"
-    }
-    fn description(&self) -> &'static str {
-        "library code uses pstack-sync wrappers, not raw std::sync Mutex/RwLock/Condvar/atomics"
-    }
-    fn check(&self, model: &FrameworkModel) -> Vec<Diagnostic> {
-        let Some(root) = &model.source_root else {
-            return vec![Diagnostic::info(
-                self.id(),
-                "cross-layer",
-                "sync.scan",
-                "no source_root in the model; raw-primitive scan skipped".to_string(),
-            )];
-        };
-        let mut out = Vec::new();
-        let crates_dir = root.join("crates");
-        let mut crate_dirs: Vec<std::path::PathBuf> = match std::fs::read_dir(&crates_dir) {
-            Ok(it) => it
-                .filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| p.is_dir())
-                .collect(),
-            Err(err) => {
-                return vec![Diagnostic::info(
-                    self.id(),
-                    "cross-layer",
-                    "sync.scan",
-                    format!(
-                        "cannot read {}: {err}; raw-primitive scan skipped",
-                        crates_dir.display()
-                    ),
-                )]
-            }
-        };
-        crate_dirs.sort();
-        for crate_dir in crate_dirs {
-            // The wrapper layer is the one place raw primitives belong.
-            if crate_dir.file_name().is_some_and(|n| n == "sync") {
-                continue;
-            }
-            scan_dir(self.id(), root, &crate_dir.join("src"), &mut out);
-        }
-        out
-    }
-}
-
-/// Recursively scan `dir` for library `.rs` files holding raw primitives.
-fn scan_dir(
-    rule_id: &'static str,
-    root: &std::path::Path,
-    dir: &std::path::Path,
-    out: &mut Vec<Diagnostic>,
-) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    let mut paths: Vec<std::path::PathBuf> =
-        entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
-    paths.sort();
-    for path in paths {
-        if path.is_dir() {
-            // Binary targets and integration-test dirs may use raw
-            // primitives (CLIs own their process; tests are adversarial).
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name == "bin" || name == "tests" {
-                continue;
-            }
-            scan_dir(rule_id, root, &path, out);
-            continue;
-        }
-        if path.extension().is_none_or(|e| e != "rs") {
-            continue;
-        }
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .display()
-            .to_string();
-        for (lineno, line) in text.lines().enumerate() {
-            let trimmed = line.trim_start();
-            if trimmed.starts_with(TEST_MARKER) {
-                break; // test module: the rest of the file is exempt
-            }
-            if trimmed.starts_with("//") {
-                continue;
-            }
-            if line.contains(STD_SYNC) && BANNED.iter().any(|b| line.contains(b)) {
-                out.push(Diagnostic::error(
-                    rule_id,
-                    "cross-layer",
-                    format!("sync.scan.{rel}"),
-                    format!(
-                        "{rel}:{}: raw {STD_SYNC} primitive in library code; use the \
-                         pstack-sync wrapper so the site joins the lock-order graph \
-                         (line: {})",
-                        lineno + 1,
-                        trimmed.trim_end()
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // PSA019 — history-key-sanity
 // ---------------------------------------------------------------------------
 
@@ -2085,7 +1945,8 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(ids, sorted, "rule IDs must be unique and in order");
-        assert_eq!(ids.len(), 21);
+        assert_eq!(ids.len(), 20);
+        assert!(!ids.contains(&"PSA018"), "PSA018 is retired, never reused");
         for r in &rules {
             assert!(!r.name().is_empty() && !r.description().is_empty());
         }

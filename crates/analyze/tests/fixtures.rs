@@ -907,86 +907,3 @@ fn psa017_flags_duplicate_declaration() {
         "{errs:?}"
     );
 }
-
-// --- PSA018: raw-sync-primitive scan ---------------------------------------
-
-/// Build a throwaway source tree under a fresh temp dir; returns its root.
-fn fixture_tree(files: &[(&str, &str)]) -> std::path::PathBuf {
-    static FIXTURE_SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let n = FIXTURE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let root = std::env::temp_dir().join(format!("psa018_fixture_{}_{n}", std::process::id()));
-    for (rel, body) in files {
-        let path = root.join(rel);
-        std::fs::create_dir_all(path.parent().expect("fixture path has parent"))
-            .expect("fixture mkdir");
-        std::fs::write(&path, body).expect("fixture write");
-    }
-    root
-}
-
-#[test]
-fn psa018_passes_on_shipped_tree() {
-    // The real workspace must be wrapper-clean: this is the acceptance bar.
-    assert!(errors_of(&shipped(), "PSA018").is_empty());
-}
-
-#[test]
-fn psa018_flags_raw_mutex_in_library_code() {
-    let root = fixture_tree(&[(
-        "crates/demo/src/lib.rs",
-        "use std::sync::Mutex;\npub static S: Mutex<i32> = Mutex::new(0);\n",
-    )]);
-    let mut m = shipped();
-    m.source_root = Some(root.clone());
-    let errs = errors_of(&m, "PSA018");
-    std::fs::remove_dir_all(&root).ok();
-    assert!(
-        errs.iter().any(|e| e.contains("crates/demo/src/lib.rs:1")),
-        "{errs:?}"
-    );
-}
-
-#[test]
-fn psa018_exempts_tests_bins_sync_crate_and_comments() {
-    let raw = "use std::sync::Mutex;\n";
-    let root = fixture_tree(&[
-        // The wrapper crate itself may hold raw primitives.
-        ("crates/sync/src/lib.rs", raw),
-        // Binary targets own their process.
-        ("crates/demo/src/bin/cli.rs", raw),
-        // Integration tests are adversarial by design.
-        ("crates/demo/src/tests/adversarial.rs", raw),
-        // Everything after a #[cfg(test)] module marker is exempt.
-        (
-            "crates/demo/src/lib.rs",
-            "pub fn ok() {}\n#[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n}\n",
-        ),
-        // Comment lines never flag.
-        (
-            "crates/demo/src/doc.rs",
-            "// migrating from std::sync::Mutex to SyncMutex\npub fn ok() {}\n",
-        ),
-        // Arc is not lock-shaped and stays allowed.
-        (
-            "crates/demo/src/arc.rs",
-            "use std::sync::Arc;\npub fn ok(_: Arc<i32>) {}\n",
-        ),
-    ]);
-    let mut m = shipped();
-    m.source_root = Some(root.clone());
-    let errs = errors_of(&m, "PSA018");
-    std::fs::remove_dir_all(&root).ok();
-    assert!(errs.is_empty(), "{errs:?}");
-}
-
-#[test]
-fn psa018_reports_skip_when_tree_absent() {
-    let mut m = shipped();
-    m.source_root = None;
-    let infos: Vec<String> = analyze(&m)
-        .by_rule("PSA018")
-        .map(|d| format!("{d}"))
-        .collect();
-    assert_eq!(infos.len(), 1, "{infos:?}");
-    assert!(infos[0].contains("skipped"), "{infos:?}");
-}

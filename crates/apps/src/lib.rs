@@ -22,7 +22,7 @@
 //!   which an app reports progress and accepts resource redistribution.
 //! - [`synthetic`]: randomized phase-sequence generators for workload mixes.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod epop;
 pub mod feti;

@@ -39,7 +39,7 @@
 //! config fingerprint, retry/fault verdicts) plus cache-hit, quarantine,
 //! and degradation events on the root span.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod ckpt;
 pub mod db;

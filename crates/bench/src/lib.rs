@@ -10,7 +10,7 @@
 //! `bench_diff` gates their artifacts; host-speed measurement of record is
 //! the standalone `perfbench/` package.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod diff;
 pub mod evalthroughput;

@@ -13,8 +13,9 @@
 //!
 //! The rendered artifact lands in `results/lockorder.{json,txt}`; the
 //! binary exits nonzero unless every driver is clean. This is the runtime
-//! complement to the static PSA017/PSA018 lints: the lints pin the declared
-//! hierarchy, the explorer pins what actually happens under contention.
+//! complement to the static checks (lint PSA017 and clippy's raw-`std::sync`
+//! ban): they pin the declared hierarchy, the explorer pins what actually
+//! happens under contention.
 
 use pstack_autotune::{
     Config, Evaluation, ForestSearch, ParamSpace, RandomSearch, Robustness, Tuner,
@@ -220,5 +221,28 @@ mod tests {
         let text = render(&r);
         assert!(text.contains("run_parallel_resilient"));
         assert!(text.contains("CLEAN"));
+    }
+
+    #[test]
+    fn committed_artifact_declares_every_registered_site() {
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/lockorder.json");
+        let text = std::fs::read_to_string(&path).expect("committed lockorder artifact");
+        let v: serde::Value = serde_json::from_str(&text).expect("artifact parses");
+        let committed: Vec<&str> = match v.field("declared_sites") {
+            serde::Value::Seq(sites) => sites
+                .iter()
+                .map(|s| match s {
+                    serde::Value::Str(s) => s.as_str(),
+                    other => panic!("site label {other:?} is not a string"),
+                })
+                .collect(),
+            other => panic!("declared_sites is {other:?}"),
+        };
+        let registered: Vec<&str> = sites::all().iter().map(|s| s.label).collect();
+        assert_eq!(
+            committed, registered,
+            "results/lockorder.json is stale: rerun bench_lockorder"
+        );
     }
 }

@@ -2,31 +2,27 @@
 //!
 //! [`crate::cotune::simulate_app`] rebuilds the whole scenario for every
 //! evaluation: fresh [`pstack_node::NodeManager`]s, a fresh
-//! `pstack_runtime::JobRunner` with per-node phase vectors, telemetry
-//! time-series and performance counters the co-tuning objective never reads.
-//! [`EvalArena`] replays the *same* simulation on the structure-of-arrays
-//! [`NodeBatch`] instead: state is reset in place between evaluations, phase
-//! programs are flattened to `(mix id, work)` pairs, and the stepping loop is
+//! `pstack_runtime::JobRunner`, telemetry time-series and performance
+//! counters the co-tuning objective never reads. [`EvalArena`] replays the
+//! *same* simulation on the structure-of-arrays [`NodeBatch`] instead: state
+//! is reset in place between evaluations and the stepping loop is
 //! allocation-free.
 //!
 //! ## Equivalence contract
 //!
 //! The arena is **bit-identical** to `simulate_app` — the scalar path stays
-//! the oracle. That holds because every floating-point operation of the
-//! driver is replicated in the same order:
+//! the oracle. Both run the job on the same [`Lockstep`] kernel, which draws
+//! the per-node work program, chooses every sub-step, advances the work and
+//! releases the barriers; the arena is its agent-free driver. What remains
+//! to agree on is:
 //!
-//! - the per-node work program is `phase.work * transient[i] * persistent[i]`
-//!   with the same [`MpiModel`] draws in the same seed order;
-//! - sub-step selection (`min(horizon, 250 ms, time-to-phase-end)` with the
-//!   1 µs floor), cursor arithmetic (the `1 − 1e-9` completion guard, the
-//!   `1e-12` barrier threshold), barrier release and the 60 s progress
-//!   quanta mirror `JobRunner::advance` / `run_to_completion`;
-//! - one `work_rate` per live node per sub-step is reused for both the
-//!   sub-step choice and the cursor advance — the scalar driver computes it
-//!   twice from identical pre-step state, so the bits agree;
-//! - node stepping delegates to [`NodeBatch::step`], which is bit-identical
-//!   to `Node::step` at nominal knobs (see `pstack-hwmodel`'s
-//!   `batch_equivalence` suite).
+//! - the caps the driver hands the kernel: `JobRunner`'s 250 ms ceiling
+//!   within its 60 s `run_to_completion` quanta (with no agents there are no
+//!   control ticks);
+//! - node stepping: the arena's backend delegates to [`NodeBatch::step`],
+//!   which is bit-identical to `Node::step` at nominal knobs (see
+//!   `pstack-hwmodel`'s `batch_equivalence` suite), and idles nodes on the
+//!   same I/O-bound mixture on no cores as `NodeManager::step_idle`.
 //!
 //! ## Tick coarsening
 //!
@@ -55,9 +51,10 @@
 //! the fine settle window. Coarse results are approximate; the default arena
 //! (no coarse sub-step) is bit-identical everywhere.
 
-use pstack_apps::workload::AppModel;
+use pstack_apps::workload::{AppModel, Phase};
 use pstack_apps::MpiModel;
 use pstack_hwmodel::{NodeBatch, NodeConfig, PhaseKind, PhaseMix};
+use pstack_node::{Activity, Lockstep, StepBackend};
 use pstack_sim::{SeedTree, SimDuration, SimTime};
 
 /// Default RAPL window, matching [`crate::cotune::simulate_app`].
@@ -80,41 +77,67 @@ const SETTLE_S: u64 = 8;
 /// observed cost drift stays an order of magnitude under the 1% budget.
 const HELD_SUBSTEP_MS: u64 = 2500;
 
+/// The kernel's backend over the batch lanes.
+#[derive(Debug)]
+struct BatchNodes {
+    batch: NodeBatch,
+    /// The batch's mixture id of each phase of the current job.
+    mix_ids: Vec<usize>,
+    idle_mix: usize,
+    wait_mix: usize,
+    cores: usize,
+    /// Step with the cap controller held (coarse ticks past the settle
+    /// window).
+    held: bool,
+    /// Per-node throttle state after the last sub-step.
+    throttled: Vec<bool>,
+    /// Whether a node's throttle state flipped in the current sub-step.
+    flipped: bool,
+}
+
+impl StepBackend for BatchNodes {
+    fn work_rate(&mut self, node: usize, index: usize, _phase: &Phase) -> f64 {
+        self.batch.work_rate(node, self.mix_ids[index], self.cores)
+    }
+
+    fn step(&mut self, node: usize, t: SimTime, dt: SimDuration, activity: Activity<'_>) {
+        let (mix_id, active) = match activity {
+            Activity::Busy { index, .. } => (self.mix_ids[index], self.cores),
+            Activity::Waiting => (self.wait_mix, self.cores),
+            Activity::Idle => (self.idle_mix, 0),
+        };
+        let out = if self.held {
+            // An emergency descent during hold is already the controller's
+            // full response — stay coarse at the new (lower) P-state rather
+            // than re-settling, which would let the suppressed climb/probe
+            // cycle restart.
+            self.batch.step_held(node, t, dt, mix_id, active).0
+        } else {
+            self.batch.step(node, t, dt, mix_id, active)
+        };
+        if out.throttled != self.throttled[node] {
+            self.throttled[node] = out.throttled;
+            self.flipped = true;
+        }
+    }
+}
+
 /// A reusable, reset-in-place evaluation context over a [`NodeBatch`].
 ///
 /// Construct once, call [`evaluate`](Self::evaluate) per configuration; all
 /// per-evaluation state (thermal/throttle/cap lanes, energy accumulators,
-/// phase programs, cursors) is reused across calls.
+/// the phase program and per-node progress) is reused across calls.
 #[derive(Debug)]
 pub struct EvalArena {
-    batch: NodeBatch,
+    lockstep: Lockstep,
+    nodes: BatchNodes,
     mpi: MpiModel,
     /// Sub-step ceiling for uncapped evaluations (None → oracle's 250 ms).
     coarse_substep: Option<SimDuration>,
     /// Effective sub-step ceiling for the current evaluation.
     max_substep: SimDuration,
-    /// Per-node phase program: `(mix id, work)` in execution order.
-    phases: Vec<Vec<(usize, f64)>>,
-    /// Per-node cursor: index of the current phase.
-    cursor_idx: Vec<usize>,
-    /// Per-node cursor: work remaining in the current phase.
-    cursor_rem: Vec<f64>,
-    /// Per-node work rate for the current sub-step (scratch).
-    rates: Vec<f64>,
-    /// Per-node completed work.
-    work_done: Vec<f64>,
-    /// Per-node throttle state after the last sub-step (event detection).
-    throttled: Vec<bool>,
-    idle_mix: usize,
-    wait_mix: usize,
-    cores_per_node: usize,
-    /// Whether the current evaluation carries a power cap.
-    capped: bool,
     /// Fine-step until this time (coarse mode: the post-event settle window).
     fine_until: SimTime,
-    /// Sub-steps taken by the most recent evaluation.
-    last_steps: usize,
-    completed_at: Option<SimTime>,
     evals: usize,
 }
 
@@ -131,23 +154,21 @@ impl EvalArena {
         let idle_mix = batch.register_mix(&PhaseMix::pure(PhaseKind::IoBound));
         let wait_mix = batch.register_mix(&PhaseMix::pure(PhaseKind::CommBound));
         EvalArena {
-            batch,
+            lockstep: Lockstep::default(),
+            nodes: BatchNodes {
+                batch,
+                mix_ids: Vec::new(),
+                idle_mix,
+                wait_mix,
+                cores: 0,
+                held: false,
+                throttled: Vec::new(),
+                flipped: false,
+            },
             mpi,
             coarse_substep: None,
             max_substep: SimDuration::from_millis(MAX_SUBSTEP_MS),
-            phases: Vec::new(),
-            cursor_idx: Vec::new(),
-            cursor_rem: Vec::new(),
-            rates: Vec::new(),
-            work_done: Vec::new(),
-            throttled: Vec::new(),
-            idle_mix,
-            wait_mix,
-            cores_per_node: 0,
-            capped: false,
             fine_until: SimTime::ZERO,
-            last_steps: 0,
-            completed_at: None,
             evals: 0,
         }
     }
@@ -171,12 +192,7 @@ impl EvalArena {
 
     /// How many resets reused existing lane allocations (fast-path hits).
     pub fn reuse_hits(&self) -> usize {
-        self.batch.reuse_hits()
-    }
-
-    /// Sub-steps the most recent evaluation took (coarsening telemetry).
-    pub fn last_eval_steps(&self) -> usize {
-        self.last_steps
+        self.nodes.batch.reuse_hits()
     }
 
     /// Simulate `app` on `n_nodes` nominal nodes under an optional node power
@@ -195,23 +211,23 @@ impl EvalArena {
     ) -> (f64, f64, f64) {
         assert!(n_nodes >= 1, "need at least one node");
         self.reset_for(app, n_nodes, node_cap_w, seed);
-        self.run_to_completion();
-        let end = self.completed_at.expect("job just ran to completion");
-        let makespan = end.since(SimTime::ZERO);
+        let makespan = self.run_to_completion().since(SimTime::ZERO);
         // Same fold order as `JobRunner::result`: per-node energy then work,
         // summed in node order (start energy is exactly 0.0 on fresh nodes).
-        let energy_j: f64 = (0..n_nodes).map(|i| self.batch.energy_j(i)).sum();
-        let total_work: f64 = self.work_done.iter().sum();
+        let energy_j: f64 = (0..n_nodes).map(|i| self.nodes.batch.energy_j(i)).sum();
+        let total_work: f64 = self.lockstep.work_done().iter().sum();
         self.evals += 1;
         (makespan.as_secs_f64(), energy_j, total_work)
     }
 
-    /// Reset all lanes and rebuild the per-node phase program in place.
+    /// Reset all lanes and rebuild the phase program in place.
     fn reset_for(&mut self, app: &dyn AppModel, n_nodes: usize, cap: Option<f64>, seed: u64) {
+        let nodes = &mut self.nodes;
         let window = SimDuration::from_millis(CAP_WINDOW_MS);
-        self.batch.reset(n_nodes, cap, window);
-        self.cores_per_node = self.batch.config().total_cores();
-        self.capped = cap.is_some();
+        nodes.batch.reset(n_nodes, cap, window);
+        nodes.cores = nodes.batch.config().total_cores();
+        nodes.throttled.clear();
+        nodes.throttled.resize(n_nodes, false);
         self.max_substep = match self.coarse_substep {
             Some(s) if cap.is_none() => s,
             Some(s) => s.min(SimDuration::from_millis(HELD_SUBSTEP_MS)),
@@ -219,175 +235,57 @@ impl EvalArena {
         };
         // Capped coarse evals settle the controller on fine ticks first;
         // everything else (uncapped coarse, exact) has no settle window.
-        self.fine_until = if self.capped && self.coarse_substep.is_some() {
+        self.fine_until = if cap.is_some() && self.coarse_substep.is_some() {
             SimTime::ZERO + SimDuration::from_secs(SETTLE_S)
         } else {
             SimTime::ZERO
         };
-        self.completed_at = None;
-        self.last_steps = 0;
 
-        self.phases.resize_with(n_nodes, Vec::new);
-        for p in &mut self.phases {
-            p.clear();
-        }
         let workload = app.workload(n_nodes);
-        let seeds = SeedTree::new(seed);
-        // Factor order matches `JobRunner::new`: persistent draw first, then
-        // one transient draw per phase, applied as work · transient · persistent.
-        let persistent = self.mpi.persistent_factors(&seeds, n_nodes);
-        for (j, phase) in workload.phases().iter().enumerate() {
-            let factors = self.mpi.imbalance_factors(&seeds, j as u64, n_nodes);
-            let mix_id = self.batch.register_mix(&phase.mix);
-            for (i, lanes) in self.phases.iter_mut().enumerate() {
-                lanes.push((mix_id, phase.work * factors[i] * persistent[i]));
-            }
+        nodes.mix_ids.clear();
+        for phase in workload.phases() {
+            let id = nodes.batch.register_mix(&phase.mix);
+            nodes.mix_ids.push(id);
         }
-
-        self.cursor_idx.clear();
-        self.cursor_idx.resize(n_nodes, 0);
-        self.cursor_rem.clear();
-        self.cursor_rem.extend(
-            self.phases
-                .iter()
-                .map(|p| p.first().map_or(0.0, |&(_, w)| w)),
-        );
-        self.rates.clear();
-        self.rates.resize(n_nodes, 0.0);
-        self.work_done.clear();
-        self.work_done.resize(n_nodes, 0.0);
-        self.throttled.clear();
-        self.throttled.resize(n_nodes, false);
+        self.lockstep
+            .reset(workload, n_nodes, &self.mpi, &SeedTree::new(seed));
     }
 
-    fn is_node_complete(&self, i: usize) -> bool {
-        self.cursor_idx[i] >= self.phases[i].len()
-    }
-
-    fn at_barrier(&self, i: usize) -> bool {
-        !self.is_node_complete(i) && self.cursor_rem[i] <= 1e-12
-    }
-
-    /// `JobRunner::run_to_completion` over the batch: 60 s quanta with the
-    /// same progress assertion.
-    fn run_to_completion(&mut self) {
-        let mut t = SimTime::ZERO;
-        while self.completed_at.is_none() {
-            let next = self.advance(t, t + SimDuration::from_secs(QUANTUM_S));
-            assert!(
-                next > t || self.completed_at.is_some(),
-                "job made no progress in a 60 s quantum"
-            );
-            t = next;
-        }
-    }
-
-    /// `JobRunner::advance` over the batch (agentless: no control ticks, no
-    /// region hooks — neither has floating-point effects without agents).
-    fn advance(&mut self, now: SimTime, horizon: SimTime) -> SimTime {
-        let n = self.phases.len();
-        let cores = self.cores_per_node;
+    /// Drive the kernel to completion in `JobRunner::run_to_completion`'s
+    /// 60 s quanta, applying the coarse settle/hold policy per sub-step.
+    /// Returns the completion time.
+    fn run_to_completion(&mut self) -> SimTime {
         let coarse = self.coarse_substep.is_some();
         let fine = SimDuration::from_millis(MAX_SUBSTEP_MS);
-        let mut t = now;
-        while t < horizon && self.completed_at.is_none() {
-            // Inside the post-event settle window, stick to the oracle's fine
-            // sub-step with the live controller; past it, coarsen and hold.
-            let settling = t < self.fine_until;
-            let ceiling = if settling {
-                self.max_substep.min(fine)
-            } else {
-                self.max_substep
-            };
-            let held = coarse && !settling;
-
-            // Choose the sub-step.
-            let mut sub = horizon.since(t).min(ceiling);
-            for i in 0..n {
-                if self.is_node_complete(i) || self.at_barrier(i) {
-                    continue;
-                }
-                let (mix_id, _) = self.phases[i][self.cursor_idx[i]];
-                let rate = self.batch.work_rate(i, mix_id, cores);
-                self.rates[i] = rate;
-                if rate > 0.0 {
-                    let to_finish = SimDuration::from_secs_f64_ceil(self.cursor_rem[i] / rate);
-                    sub = sub.min(to_finish);
-                }
-            }
-            if sub.is_zero() {
-                sub = SimDuration::from_micros(1);
-            }
-
-            // Step every node for the sub-interval. The rate cached above is
-            // bit-equal to the scalar driver's re-computation: nothing
-            // mutates the node between selection and stepping. A throttle
-            // flip or phase boundary seen during a coarse tick re-enters
-            // fine stepping for a settle window.
-            self.last_steps += 1;
-            let mut replan = false;
-            for i in 0..n {
-                let (mix_id, active) = if self.is_node_complete(i) {
-                    (self.idle_mix, 0)
-                } else if self.at_barrier(i) {
-                    (self.wait_mix, cores)
+        let mut t = SimTime::ZERO;
+        loop {
+            let horizon = t + SimDuration::from_secs(QUANTUM_S);
+            while t < horizon {
+                // Inside the post-event settle window, stick to the oracle's
+                // fine sub-step with the live controller; past it, coarsen
+                // and hold.
+                let settling = t < self.fine_until;
+                let ceiling = if settling {
+                    self.max_substep.min(fine)
                 } else {
-                    (self.phases[i][self.cursor_idx[i]].0, cores)
+                    self.max_substep
                 };
-                let out = if held {
-                    // An emergency descent during hold is already the
-                    // controller's full response — stay coarse at the new
-                    // (lower) P-state rather than re-settling, which would
-                    // let the suppressed climb/probe cycle restart.
-                    self.batch.step_held(i, t, sub, mix_id, active).0
-                } else {
-                    self.batch.step(i, t, sub, mix_id, active)
-                };
-                if out.throttled != self.throttled[i] {
-                    self.throttled[i] = out.throttled;
-                    replan = true;
+                self.nodes.held = coarse && !settling;
+                self.nodes.flipped = false;
+                let step = self
+                    .lockstep
+                    .step(t, horizon.since(t).min(ceiling), &mut self.nodes);
+                t += step.dt;
+                // A phase boundary (mixes change) or a throttle flip is a
+                // control event: re-enter fine stepping for a settle window.
+                if coarse && (step.boundary || self.nodes.flipped) {
+                    self.fine_until = t + SimDuration::from_secs(SETTLE_S);
                 }
-                if !self.is_node_complete(i) && !self.at_barrier(i) {
-                    // `WorkloadCursor::advance`, verbatim arithmetic.
-                    let rate = self.rates[i];
-                    let capacity = rate * sub.as_secs_f64();
-                    let close_enough = capacity >= self.cursor_rem[i] * (1.0 - 1e-9);
-                    if close_enough && rate > 0.0 {
-                        self.work_done[i] += self.cursor_rem[i];
-                        self.cursor_rem[i] = 0.0;
-                    } else {
-                        self.cursor_rem[i] -= capacity;
-                        self.work_done[i] += capacity;
-                    }
+                if step.completed {
+                    return t;
                 }
-            }
-            t += sub;
-
-            // Barrier release: all live cursors waiting → everyone advances.
-            let all_at_barrier = (0..n).all(|i| self.is_node_complete(i) || self.at_barrier(i));
-            let any_live = (0..n).any(|i| !self.is_node_complete(i));
-            if all_at_barrier && any_live {
-                for i in 0..n {
-                    if !self.is_node_complete(i) {
-                        debug_assert!(self.cursor_rem[i] <= 1e-12, "phase not finished");
-                        self.cursor_idx[i] += 1;
-                        self.cursor_rem[i] = self.phases[i]
-                            .get(self.cursor_idx[i])
-                            .map_or(0.0, |&(_, w)| w);
-                    }
-                }
-                // A phase boundary is a control event: mixes change.
-                replan = true;
-            }
-            if coarse && replan {
-                self.fine_until = t + SimDuration::from_secs(SETTLE_S);
-            }
-            if (0..n).all(|i| self.is_node_complete(i)) {
-                self.completed_at = Some(t);
-                break;
             }
         }
-        t
     }
 }
 
@@ -405,6 +303,7 @@ mod tests {
     use pstack_apps::hypre::HypreApp;
     use pstack_apps::kernelmodel::KernelApp;
     use pstack_apps::synthetic::{Profile, SyntheticApp};
+    use pstack_apps::workload::Workload;
 
     fn assert_triple_bits(scalar: (f64, f64, f64), batch: (f64, f64, f64), what: &str) {
         assert_eq!(
@@ -478,6 +377,41 @@ mod tests {
                 assert_triple_bits(scalar, fast, "synthetic");
             }
         }
+    }
+
+    /// The same phase list on any node count.
+    struct Fixed(Workload);
+
+    impl AppModel for Fixed {
+        fn name(&self) -> &str {
+            "fixed"
+        }
+
+        fn workload(&self, _n_nodes: usize) -> Workload {
+            self.0.clone()
+        }
+    }
+
+    #[test]
+    fn empty_and_single_phase_workloads_match_bitwise() {
+        let mut arena = EvalArena::new();
+        let empty = Fixed(Workload::new());
+        let single = Fixed(Workload::from_phases(vec![Phase::new(
+            "solve",
+            PhaseMix::new(0.6, 0.3, 0.1, 0.0),
+            7.5,
+        )]));
+        for (what, app) in [("empty", &empty), ("single phase", &single)] {
+            for (n_nodes, cap) in [(1, None), (3, None), (2, Some(300.0))] {
+                let scalar = simulate_app(app, n_nodes, cap, 5);
+                let fast = arena.evaluate(app, n_nodes, cap, 5);
+                assert_triple_bits(scalar, fast, what);
+            }
+        }
+        // An empty job still takes one idle sub-step before it completes.
+        let (time_s, energy_j, work) = arena.evaluate(&empty, 2, None, 5);
+        assert_eq!((time_s, work), (0.25, 0.0));
+        assert!(energy_j > 0.0);
     }
 
     #[test]

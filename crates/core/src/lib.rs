@@ -25,7 +25,7 @@
 //! - [`experiments`] — one module per paper table/figure/use case, each
 //!   regenerating the corresponding result (see DESIGN.md's index).
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod arena;
 pub mod catalog;

@@ -12,7 +12,7 @@
 //! `Framework`-construction gate in `powerstack-core` runs the layer
 //! invariants directly. Both speak the types defined here.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

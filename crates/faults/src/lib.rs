@@ -33,7 +33,7 @@
 //! through the resilient tuning loop — byte-identical serialized reports on
 //! any worker count. The chaos suite (`tests/chaos_tuning.rs`) asserts this.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod dice;
 pub mod evaluator;

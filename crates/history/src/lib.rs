@@ -42,7 +42,7 @@
 //! The schema is linted by `pstack-analyze`'s PSA019 (fingerprint
 //! stability, shard-count bounds, no two apps sharing a key).
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod key;
 pub mod store;

@@ -25,7 +25,7 @@
 //! memory-bound phases gain little from core frequency; communication slack
 //! gains nothing; capping power costs performance only once it binds.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod batch;
 pub mod cap;

@@ -8,17 +8,19 @@
 //! - [`signals`]: a Variorum-style typed signal catalog (`read(signal)`).
 //! - [`manager`]: [`NodeManager`] — knob setters with bounds/ownership checks,
 //!   power-history recording, per-step accounting.
-//! - [`cursor`]: [`WorkloadCursor`] — a per-node cursor over an application's
-//!   phase sequence, the execution primitive job runtimes drive.
+//! - [`lockstep`]: [`Lockstep`] — one job's phase program across its nodes
+//!   with MPI barrier semantics, one sub-step at a time, over any
+//!   [`StepBackend`]; the kernel under both job drivers (scalar nodes with
+//!   runtime agents, and the agent-free SoA lanes of the tuning fast path).
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
-pub mod cursor;
 pub mod invariants;
+pub mod lockstep;
 pub mod manager;
 pub mod signals;
 
-pub use cursor::WorkloadCursor;
 pub use invariants::invariants;
+pub use lockstep::{Activity, Lockstep, StepBackend, SubStep};
 pub use manager::{NodeManager, NodeStepReport};
 pub use signals::Signal;

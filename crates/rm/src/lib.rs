@@ -21,7 +21,7 @@
 //! per-enclave schedulers into a site with budget sharding and a GEOPM-style
 //! aggregation tree.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod decision;
 pub mod events;

@@ -50,6 +50,11 @@ use pstack_sim::{SeedTree, SimDuration, SimTime};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 
+/// Queue positions each backfill pass examines. Fleet-scale queues (tens of
+/// thousands of jobs) make a full scan per pass quadratic; the cap bounds it
+/// while leaving small queues exhaustive.
+const BACKFILL_DEPTH: usize = 256;
+
 /// Completed-job accounting record.
 #[derive(Debug, Clone)]
 pub struct JobRecord {
@@ -204,7 +209,6 @@ pub struct Scheduler {
     running: Vec<RunningJob>,
     records: Vec<JobRecord>,
     policy: SystemPowerPolicy,
-    mpi: MpiModel,
     seeds: SeedTree,
     log: DecisionLog,
     rejected: Vec<JobId>,
@@ -224,8 +228,6 @@ pub struct Scheduler {
     sched_dirty: bool,
     /// Quantum of the most recent tick, used to replay deferred idle physics.
     last_quantum: SimDuration,
-    /// Queue positions the backfill pass examines per scheduling pass.
-    backfill_depth: usize,
     /// Override for the job runners' integration substep ceiling.
     runner_max_substep: Option<SimDuration>,
     /// Memoized `(job id, node count) → total work` for backfill estimates.
@@ -275,7 +277,6 @@ impl Scheduler {
             running: Vec::new(),
             records: Vec::new(),
             policy,
-            mpi: MpiModel::typical(),
             seeds,
             log: DecisionLog::default(),
             rejected: Vec::new(),
@@ -288,7 +289,6 @@ impl Scheduler {
             events: EventHeap::new(),
             sched_dirty: true,
             last_quantum: SimDuration::from_secs(1),
-            backfill_depth: 256,
             runner_max_substep: None,
             work_cache: HashMap::new(),
             reserved_memo: Cell::new(None),
@@ -326,21 +326,6 @@ impl Scheduler {
     /// Disable EASY backfill (pure FCFS), for ablation experiments.
     pub fn without_backfill(mut self) -> Self {
         self.backfill = false;
-        self
-    }
-
-    /// Override the communication/imbalance model for executed jobs.
-    pub fn with_mpi(mut self, mpi: MpiModel) -> Self {
-        self.mpi = mpi;
-        self
-    }
-
-    /// Cap how many queue positions each backfill pass examines. Fleet-scale
-    /// queues (tens of thousands of jobs) make a full scan per pass
-    /// quadratic; the cap bounds it while leaving small queues exhaustive.
-    pub fn with_backfill_depth(mut self, depth: usize) -> Self {
-        assert!(depth > 0, "depth must be positive");
-        self.backfill_depth = depth;
         self
     }
 
@@ -966,7 +951,13 @@ impl Scheduler {
         let workload = spec.app.workload(n);
         let total_work = workload.total_work();
         let job_seeds = self.seeds.subtree(&format!("job-{}", spec.id.0));
-        let mut runner = JobRunner::new(&workload, n, &self.mpi, &job_seeds, ArbiterMode::Gated);
+        let mut runner = JobRunner::new(
+            &workload,
+            n,
+            &MpiModel::typical(),
+            &job_seeds,
+            ArbiterMode::Gated,
+        );
         if let Some(substep) = self.runner_max_substep {
             runner.set_max_substep(substep);
         }
@@ -1103,7 +1094,7 @@ impl Scheduler {
         }
         let mut i = 1; // skip the head
         let mut examined = 0usize;
-        while i < self.queue.len() && examined < self.backfill_depth {
+        while i < self.queue.len() && examined < BACKFILL_DEPTH {
             let cand = self.queue[i].clone();
             examined += 1;
             if cand.submit > self.now {

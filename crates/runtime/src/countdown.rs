@@ -14,6 +14,9 @@ use pstack_hwmodel::{PhaseKind, PhaseMix};
 use pstack_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
+/// Frequency used inside MPI, GHz (real COUNTDOWN uses the minimum P-state).
+const LOW_FREQ_GHZ: f64 = 1.0;
+
 /// COUNTDOWN aggressiveness, selected by the RM at job start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CountdownMode {
@@ -40,8 +43,6 @@ pub struct CountdownStats {
 #[derive(Debug)]
 pub struct Countdown {
     mode: CountdownMode,
-    /// Frequency used inside MPI, GHz (real COUNTDOWN uses the minimum P-state).
-    low_freq_ghz: f64,
     /// Per-node flag: currently downscaled.
     lowered: Vec<bool>,
     /// Use the stacked MPI frequency-override slot (the §3.2.7 communication
@@ -56,7 +57,6 @@ impl Countdown {
     pub fn new(mode: CountdownMode) -> Self {
         Countdown {
             mode,
-            low_freq_ghz: 1.0,
             lowered: Vec::new(),
             use_override_layer: true,
             stats: CountdownStats::default(),
@@ -68,13 +68,6 @@ impl Countdown {
     /// warns about).
     pub fn without_override_layer(mut self) -> Self {
         self.use_override_layer = false;
-        self
-    }
-
-    /// Override the in-MPI frequency.
-    pub fn with_low_freq(mut self, ghz: f64) -> Self {
-        assert!(ghz > 0.0);
-        self.low_freq_ghz = ghz;
         self
     }
 
@@ -133,9 +126,9 @@ impl RuntimeAgent for Countdown {
         }
         if self.should_lower(region, mix) {
             let applied = if self.use_override_layer {
-                !self.lowered[node] && ctl.set_mpi_freq_override(node, self.low_freq_ghz)
+                !self.lowered[node] && ctl.set_mpi_freq_override(node, LOW_FREQ_GHZ)
             } else {
-                !self.lowered[node] && ctl.set_freq_limit_ghz(node, self.low_freq_ghz)
+                !self.lowered[node] && ctl.set_freq_limit_ghz(node, LOW_FREQ_GHZ)
             };
             if applied {
                 self.lowered[node] = true;

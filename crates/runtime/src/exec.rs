@@ -1,26 +1,28 @@
 //! Job execution: co-simulating an application across its nodes.
 //!
-//! [`JobRunner`] owns per-node [`WorkloadCursor`]s over the application's
-//! phase sequence (imbalance-scaled per node), advances them against the
-//! node hardware with MPI barrier semantics — every rank must finish phase
-//! *j* before any enters *j+1*; early finishers spin in communication wait —
-//! and fires [`RuntimeAgent`] hooks at region entries and control intervals.
+//! [`JobRunner`] drives a [`Lockstep`] kernel over the job's
+//! [`NodeManager`]s. The kernel holds the phase program (imbalance-scaled per
+//! node) and takes each sub-step with MPI barrier semantics — every rank
+//! must finish phase *j* before any enters *j+1*; early finishers spin in
+//! communication wait. Around it the runner fires [`RuntimeAgent`] hooks at
+//! region entries and control intervals, keeps the agents' telemetry and
+//! builds the [`JobResult`].
 //!
-//! The runner micro-steps adaptively: each sub-step ends at the earliest of
-//! (a) the next phase completion on any node, (b) the next agent control
-//! tick, or (c) the caller's horizon. This keeps phase accounting exact even
-//! when application phases are much shorter than the caller's quantum.
+//! Each sub-step ends at the earliest of (a) the next phase completion on
+//! any node, (b) the next agent control tick, or (c) the caller's horizon.
+//! This keeps phase accounting exact even when application phases are much
+//! shorter than the caller's quantum. The runner caps the sub-step at (b),
+//! (c) and its ceiling; the kernel adds (a).
 //!
 //! Sub-steps are many (GEOPM's 100 ms control period cuts a 1 s quantum
 //! into ten), so each is kept cheap:
 //!
-//! - each live node's work rate is computed once per sub-step, while the
-//!   sub-step is chosen, and reused for its cursor advance (nothing touches
-//!   the node in between, so the bits are those of a second call);
+//! - the kernel computes each busy node's work rate once per sub-step and
+//!   reuses it for the node's advance;
 //! - the runner owns one [`JobTelemetry`] and refreshes it in place before
 //!   each due agent's control tick, still once per agent so a second
 //!   co-resident agent sees the first one's knob writes;
-//! - region hooks borrow the region name and mixture from the cursor;
+//! - region hooks borrow the region name and mixture from the kernel;
 //! - [`JobRunner::advance_boxed`] drives the agents the RM owns without a
 //!   per-call slice of references.
 //!
@@ -33,7 +35,7 @@ use crate::arbiter::{Arbiter, ArbiterMode};
 use pstack_apps::workload::{Phase, Workload};
 use pstack_apps::MpiModel;
 use pstack_hwmodel::{PhaseKind, PhaseMix};
-use pstack_node::{NodeManager, Signal, WorkloadCursor};
+use pstack_node::{Activity, Lockstep, NodeManager, Signal, StepBackend};
 use pstack_sim::{SeedTree, SimDuration, SimTime};
 use std::borrow::BorrowMut;
 
@@ -68,6 +70,28 @@ impl JobResult {
     }
 }
 
+/// The kernel's backend over the job's scalar nodes.
+struct ManagedNodes<'a> {
+    nodes: &'a mut [NodeManager],
+    cores: usize,
+    wait_mix: &'a PhaseMix,
+}
+
+impl StepBackend for ManagedNodes<'_> {
+    fn work_rate(&mut self, node: usize, _index: usize, phase: &Phase) -> f64 {
+        self.nodes[node].node().work_rate(&phase.mix, self.cores)
+    }
+
+    fn step(&mut self, node: usize, t: SimTime, dt: SimDuration, activity: Activity<'_>) {
+        let n = &mut self.nodes[node];
+        match activity {
+            Activity::Busy { phase, .. } => n.step(t, dt, &phase.mix, self.cores),
+            Activity::Waiting => n.step(t, dt, self.wait_mix, self.cores),
+            Activity::Idle => n.step_idle(t, dt),
+        };
+    }
+}
+
 /// The per-job execution driver.
 ///
 /// # Example
@@ -94,20 +118,13 @@ impl JobResult {
 /// assert!(result.energy_j > 0.0);
 /// ```
 pub struct JobRunner {
-    cursors: Vec<WorkloadCursor>,
+    lockstep: Lockstep,
     cores_per_node: usize,
     wait_mix: PhaseMix,
     arbiter: Arbiter,
-    /// Whether region-entry hooks fired for each node's current region.
-    region_fired: Vec<bool>,
     started: Option<SimTime>,
     completed_at: Option<SimTime>,
     start_energy: Vec<f64>,
-    wait_s: Vec<f64>,
-    work_done: Vec<f64>,
-    /// Each live node's work rate in the current sub-step: computed while
-    /// choosing the sub-step, reused for the cursor advance.
-    rates: Vec<f64>,
     /// What agents see at control ticks, refreshed in place per tick.
     telemetry: JobTelemetry,
     next_control: Vec<SimTime>,
@@ -120,8 +137,11 @@ impl JobRunner {
     /// Build a runner for `workload` replicated across `n_nodes` nodes with
     /// per-phase load imbalance drawn from `mpi` under `seeds`.
     ///
-    /// Communication-dominant phases are not imbalance-scaled (their duration
-    /// is synchronization, not local work).
+    /// Every phase is imbalance-scaled, communication phases included (see
+    /// [`Lockstep::reset`]).
+    ///
+    /// # Panics
+    /// Panics if `n_nodes` is zero.
     pub fn new(
         workload: &Workload,
         n_nodes: usize,
@@ -129,34 +149,9 @@ impl JobRunner {
         seeds: &SeedTree,
         arbiter_mode: ArbiterMode,
     ) -> Self {
-        assert!(n_nodes >= 1, "job needs at least one node");
-        let mut per_node: Vec<Vec<Phase>> = vec![Vec::with_capacity(workload.len()); n_nodes];
-        // Persistent decomposition imbalance (fixed per rank for the whole
-        // job) composes with transient per-phase noise. Communication phases
-        // are imbalanced too (message sizes and arrival times differ); early
-        // finishers spin in barrier wait — the slack COUNTDOWN's wait-only
-        // mode and the duty-cycle adapter target.
-        let persistent = mpi.persistent_factors(seeds, n_nodes);
-        for (j, phase) in workload.phases().iter().enumerate() {
-            let factors = mpi.imbalance_factors(seeds, j as u64, n_nodes);
-            for (i, f) in factors.iter().enumerate() {
-                per_node[i].push(Phase {
-                    region: phase.region.clone(),
-                    mix: phase.mix.clone(),
-                    work: phase.work * f * persistent[i],
-                });
-            }
-        }
-        let cursors = per_node
-            .into_iter()
-            .map(|phases| WorkloadCursor::new(Workload::from_phases(phases)))
-            .collect::<Vec<_>>();
         JobRunner {
-            region_fired: vec![false; n_nodes],
+            lockstep: Lockstep::new(workload.clone(), n_nodes, mpi, seeds),
             start_energy: vec![0.0; n_nodes],
-            wait_s: vec![0.0; n_nodes],
-            work_done: vec![0.0; n_nodes],
-            rates: vec![0.0; n_nodes],
             telemetry: JobTelemetry {
                 now: SimTime::ZERO,
                 elapsed: SimDuration::ZERO,
@@ -168,7 +163,6 @@ impl JobRunner {
                 current_regions: vec![None; n_nodes],
             },
             next_control: Vec::new(),
-            cursors,
             cores_per_node: usize::MAX, // set at start from node config
             wait_mix: PhaseMix::pure(PhaseKind::CommBound),
             arbiter: Arbiter::new(arbiter_mode),
@@ -180,7 +174,7 @@ impl JobRunner {
 
     /// Number of nodes this job runs on.
     pub fn n_nodes(&self) -> usize {
-        self.cursors.len()
+        self.lockstep.n_nodes()
     }
 
     /// Override the integration substep ceiling (default 250 ms). Coarser
@@ -208,13 +202,15 @@ impl JobRunner {
 
     /// Total application work completed so far across all nodes.
     pub fn work_done_total(&self) -> f64 {
-        self.work_done.iter().sum()
+        self.lockstep.work_done().iter().sum()
     }
 
     /// Fraction of total work completed so far, in `[0, 1]`.
     pub fn progress_fraction(&self) -> f64 {
-        let done: f64 = self.work_done.iter().sum();
-        let remaining: f64 = self.cursors.iter().map(|c| c.remaining_total()).sum();
+        let done = self.work_done_total();
+        let remaining: f64 = (0..self.n_nodes())
+            .map(|i| self.lockstep.remaining_total(i))
+            .sum();
         if done + remaining <= 0.0 {
             1.0
         } else {
@@ -257,20 +253,15 @@ impl JobRunner {
         let tel = &mut self.telemetry;
         tel.now = now;
         tel.elapsed = now.since(self.started.expect("started"));
-        tel.node_progress.copy_from_slice(&self.work_done);
-        tel.node_wait_s.copy_from_slice(&self.wait_s);
+        tel.node_progress.copy_from_slice(self.lockstep.work_done());
+        tel.node_wait_s.copy_from_slice(self.lockstep.wait_s());
         for (i, n) in nodes.iter().enumerate() {
             tel.node_power_w[i] = n.read(Signal::NodePowerWatts);
             tel.node_freq_ghz[i] = n.read(Signal::CoreFreqGhz);
             tel.node_energy_j[i] = n.read(Signal::NodeEnergyJoules) - self.start_energy[i];
         }
-        for (slot, c) in tel.current_regions.iter_mut().zip(&self.cursors) {
-            // `current_region` is `None` once the cursor is complete.
-            let region = if c.at_barrier() {
-                Some(BARRIER_REGION)
-            } else {
-                c.current_region()
-            };
+        for (i, slot) in tel.current_regions.iter_mut().enumerate() {
+            let region = region_of(self.lockstep.activity(i), &self.wait_mix).map(|(r, _)| r);
             match (slot.as_mut(), region) {
                 (Some(held), Some(r)) => {
                     if held != r {
@@ -290,7 +281,7 @@ impl JobRunner {
     /// every call; `agents` likewise.
     ///
     /// # Panics
-    /// Panics if `horizon < now` or if node/cursor counts mismatch.
+    /// Panics if `horizon < now` or if the node count mismatches the job's.
     pub fn advance(
         &mut self,
         now: SimTime,
@@ -323,7 +314,7 @@ impl JobRunner {
         agents: &mut [A],
     ) -> SimTime {
         assert!(horizon >= now, "horizon before now");
-        assert_eq!(nodes.len(), self.cursors.len(), "node count mismatch");
+        assert_eq!(nodes.len(), self.n_nodes(), "node count mismatch");
         if self.is_complete() {
             return now;
         }
@@ -334,70 +325,20 @@ impl JobRunner {
         while t < horizon && !self.is_complete() {
             self.fire_region_hooks(t, nodes, agents);
 
-            // Choose the sub-step, keeping each live node's work rate for
-            // its cursor advance below: no node changes in between.
-            let mut sub = horizon.since(t).min(self.max_substep);
-            for (i, c) in self.cursors.iter().enumerate() {
-                if c.is_complete() || c.at_barrier() {
-                    continue;
-                }
-                let mix = c.current_mix().expect("in phase");
-                let rate = nodes[i].node().work_rate(mix, self.cores_per_node);
-                self.rates[i] = rate;
-                if rate > 0.0 {
-                    let to_finish = SimDuration::from_secs_f64_ceil(c.remaining_in_phase() / rate);
-                    sub = sub.min(to_finish);
-                }
-            }
+            let mut cap = horizon.since(t).min(self.max_substep);
             for &nc in &self.next_control {
                 if nc > t {
-                    sub = sub.min(nc.since(t));
+                    cap = cap.min(nc.since(t));
                 }
             }
-            if sub.is_zero() {
-                sub = SimDuration::from_micros(1);
-            }
-
-            // Step every node for the sub-interval.
-            for (i, c) in self.cursors.iter_mut().enumerate() {
-                if c.is_complete() {
-                    nodes[i].step_idle(t, sub);
-                    continue;
-                }
-                if c.at_barrier() {
-                    nodes[i].step(t, sub, &self.wait_mix, self.cores_per_node);
-                    self.wait_s[i] += sub.as_secs_f64();
-                    continue;
-                }
-                let mix = c.current_mix().expect("in phase");
-                nodes[i].step(t, sub, mix, self.cores_per_node);
-                let adv = c.advance(self.rates[i], sub.as_secs_f64());
-                self.work_done[i] += adv.work_done;
-                if adv.phase_completed {
-                    // The tail of the sub-step beyond completion is wait,
-                    // and the node "enters" the barrier-wait pseudo-region —
-                    // the MPI_Wait interception point for runtimes.
-                    self.wait_s[i] += adv.leftover_fraction * sub.as_secs_f64();
-                    self.region_fired[i] = false;
-                }
-            }
-            t += sub;
-
-            // Barrier release: all live cursors waiting → everyone advances.
-            let all_at_barrier = self
-                .cursors
-                .iter()
-                .all(|c| c.is_complete() || c.at_barrier());
-            let any_live = self.cursors.iter().any(|c| !c.is_complete());
-            if all_at_barrier && any_live {
-                for (i, c) in self.cursors.iter_mut().enumerate() {
-                    if !c.is_complete() {
-                        c.enter_next_phase();
-                        self.region_fired[i] = false;
-                    }
-                }
-            }
-            if self.cursors.iter().all(|c| c.is_complete()) {
+            let mut backend = ManagedNodes {
+                nodes,
+                cores: self.cores_per_node,
+                wait_mix: &self.wait_mix,
+            };
+            let step = self.lockstep.step(t, cap, &mut backend);
+            t += step.dt;
+            if step.completed {
                 self.completed_at = Some(t);
                 for (ai, agent) in agents.iter_mut().enumerate() {
                     let mut ctl = ArbitratedNodes::new(nodes, &self.arbiter, ai, t);
@@ -423,22 +364,18 @@ impl JobRunner {
         t
     }
 
+    /// Announce each region a node entered since the last sub-step — its
+    /// phase, or the barrier wait after it — to every agent.
     fn fire_region_hooks<'a, A: BorrowMut<dyn RuntimeAgent + 'a>>(
         &mut self,
         t: SimTime,
         nodes: &mut [NodeManager],
         agents: &mut [A],
     ) {
-        for i in 0..self.cursors.len() {
-            let c = &self.cursors[i];
-            if self.region_fired[i] || c.is_complete() {
+        for i in 0..self.n_nodes() {
+            let entered = self.lockstep.take_entry(i);
+            let Some((region, mix)) = entered.and_then(|a| region_of(a, &self.wait_mix)) else {
                 continue;
-            }
-            let (region, mix) = if c.at_barrier() {
-                (BARRIER_REGION, &self.wait_mix)
-            } else {
-                let p = c.current_phase().expect("in phase");
-                (p.region.as_str(), &p.mix)
             };
             for (ai, agent) in agents.iter_mut().enumerate() {
                 let mut ctl = ArbitratedNodes::new(nodes, &self.arbiter, ai, t);
@@ -446,7 +383,6 @@ impl JobRunner {
                     .borrow_mut()
                     .on_region_enter(t, i, region, mix, &mut ctl);
             }
-            self.region_fired[i] = true;
         }
     }
 
@@ -485,9 +421,22 @@ impl JobRunner {
             makespan,
             energy_j,
             avg_power_w: if span > 0.0 { energy_j / span } else { 0.0 },
-            total_work: self.work_done.iter().sum(),
-            node_wait_s: self.wait_s.clone(),
+            total_work: self.work_done_total(),
+            node_wait_s: self.lockstep.wait_s().to_vec(),
         })
+    }
+}
+
+/// The region a node is in, with its mixture: its phase's, the barrier-wait
+/// pseudo-region, or none once the job has completed.
+fn region_of<'a>(
+    activity: Activity<'a>,
+    wait_mix: &'a PhaseMix,
+) -> Option<(&'a str, &'a PhaseMix)> {
+    match activity {
+        Activity::Busy { phase, .. } => Some((phase.region.as_str(), &phase.mix)),
+        Activity::Waiting => Some((BARRIER_REGION, wait_mix)),
+        Activity::Idle => None,
     }
 }
 
@@ -514,25 +463,19 @@ mod tests {
                 .iter()
                 .map(|n| n.read(Signal::NodePowerWatts))
                 .collect(),
-            node_progress: r.work_done.clone(),
-            node_wait_s: r.wait_s.clone(),
+            node_progress: r.lockstep.work_done().to_vec(),
+            node_wait_s: r.lockstep.wait_s().to_vec(),
             node_freq_ghz: nodes.iter().map(|n| n.read(Signal::CoreFreqGhz)).collect(),
             node_energy_j: nodes
                 .iter()
                 .enumerate()
                 .map(|(i, n)| n.read(Signal::NodeEnergyJoules) - r.start_energy[i])
                 .collect(),
-            current_regions: r
-                .cursors
-                .iter()
-                .map(|c| {
-                    if c.is_complete() {
-                        None
-                    } else if c.at_barrier() {
-                        Some(BARRIER_REGION.to_string())
-                    } else {
-                        c.current_region().map(str::to_string)
-                    }
+            current_regions: (0..r.n_nodes())
+                .map(|i| match r.lockstep.activity(i) {
+                    Activity::Busy { phase, .. } => Some(phase.region.clone()),
+                    Activity::Waiting => Some(BARRIER_REGION.to_string()),
+                    Activity::Idle => None,
                 })
                 .collect(),
         }
@@ -933,7 +876,7 @@ mod tests {
                     barrier > 0 && phase > 0,
                     "{name}: regions {barrier} barrier, {phase} phase"
                 );
-                // Every cursor completes at the final barrier release, so no
+                // Every node completes at the final barrier release, so no
                 // tick sees a finished node; a refresh after completion
                 // clears every region.
                 let end = runner.completed_at().expect("complete");

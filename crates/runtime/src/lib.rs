@@ -4,9 +4,9 @@
 //! Conductor, Uncore power scavenger, and COUNTDOWN"). This crate provides:
 //!
 //! - [`exec`]: the execution substrate — [`exec::JobRunner`] co-simulates an
-//!   application's phase sequence across the job's nodes with MPI barrier
-//!   semantics and load imbalance, firing runtime hooks at region entries and
-//!   control intervals.
+//!   application's phase sequence across the job's nodes on `pstack-node`'s
+//!   lockstep kernel (MPI barrier semantics, load imbalance), firing runtime
+//!   hooks at region entries and control intervals.
 //! - [`agent`]: the [`agent::RuntimeAgent`] trait every runtime implements,
 //!   plus the [`agent::ArbitratedNodes`] control facade.
 //! - [`arbiter`]: knob-ownership arbitration so two runtimes can co-exist
@@ -26,7 +26,7 @@
 //!   cycle knob; Bhalachandra et al.) — early-arriving ranks run at reduced
 //!   duty cycle.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod agent;
 pub mod arbiter;

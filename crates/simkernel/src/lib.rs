@@ -12,7 +12,7 @@
 //! events. The resource manager orders those events on its own heap and logs
 //! its decisions in `pstack-rm`.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod rng;
 pub mod time;

@@ -7,7 +7,8 @@
 //! ring, WAL appends, and the session supervisor. None of that should rely
 //! on raw `std::sync` primitives sprinkled across crates — this crate is
 //! the single, auditable home for synchronization in library code
-//! (`pstack-analyze`'s PSA018 rejects raw primitives anywhere else).
+//! (`clippy.toml`'s `disallowed-types` rejects raw primitives anywhere
+//! else).
 //!
 //! Three pieces, in the spirit of loom/TSan but pure-Rust and offline:
 //!
@@ -37,9 +38,10 @@
 //! declared here and stays acyclic.
 
 // This crate is the one place raw std::sync primitives are allowed in
-// library code; the clippy disallowed-methods entries that ban
-// Mutex::lock/RwLock::read/RwLock::write elsewhere are opted out here.
-#![allow(clippy::disallowed_methods)]
+// library code; the clippy disallowed-types and disallowed-methods entries
+// that ban them (and Mutex::lock/RwLock::read/RwLock::write) elsewhere are
+// opted out here.
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod chaos;
 pub mod explore;
@@ -57,6 +59,5 @@ pub use primitives::{
 pub use sites::{SiteDecl, SiteKind};
 
 // Re-exported so caller crates can name memory orderings without importing
-// from `std::sync::atomic` (which PSA018's source scan would flag when the
-// import also names a banned primitive).
+// from `std::sync::atomic`, the home of the banned raw atomics.
 pub use std::sync::atomic::Ordering;

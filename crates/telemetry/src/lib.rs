@@ -16,7 +16,7 @@
 //! - [`derived`]: the derived efficiency metrics.
 //! - [`agg`]: scalar and tree-hierarchical aggregation (GEOPM-style).
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod agg;
 pub mod counters;

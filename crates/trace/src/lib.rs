@@ -44,7 +44,7 @@
 //! assert!(to_chrome(&trace).starts_with("{\"traceEvents\""));
 //! ```
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod collector;
 pub mod export;

@@ -60,7 +60,7 @@ stage_perf() {
 }
 
 stage_conc() {
-    echo "== concurrency audit (schedule explorer + lock-order gate + PSA017/018) =="
+    echo "== concurrency audit (schedule explorer + lock-order gate + PSA017) =="
     cargo test -q --test concurrency_audit
     local out
     out=$(stage_results_dir conc)

@@ -39,7 +39,7 @@
 //! See `DESIGN.md` for the substitution table (what each simulated substrate
 //! stands in for) and `EXPERIMENTS.md` for the paper-vs-measured record.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub use powerstack_core as core;
 pub use pstack_analyze as analyze;

@@ -3,8 +3,9 @@
 //! memoize duplicate suggestions in the evaluation cache, and surface empty
 //! searches as errors rather than panics.
 
-// Integration tests are exempt from the workspace unwrap policy.
-#![allow(clippy::disallowed_methods)]
+// Integration tests are exempt from the workspace unwrap policy; this one
+// also counts evaluator calls with a raw atomic.
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
 use powerstack::autotune::{
     AnnealingSearch, CacheStats, Config, ExhaustiveSearch, ForestSearch, HillClimbSearch, Param,

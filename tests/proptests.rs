@@ -80,33 +80,41 @@ proptest! {
         }
     }
 
-    /// The workload cursor conserves work exactly for any advance pattern.
+    /// The lockstep kernel conserves work exactly for any pattern of
+    /// sub-step caps and node speeds.
     #[test]
     fn cursor_conserves_work(
         phase_works in prop::collection::vec(0.01f64..5.0, 1..12),
         slices in prop::collection::vec((0.1f64..3.0, 0.01f64..1.0), 1..200),
     ) {
-        use powerstack::node::WorkloadCursor;
+        use powerstack::node::{Activity, Lockstep, StepBackend};
+        struct Speed(f64);
+        impl StepBackend for Speed {
+            fn work_rate(&mut self, _node: usize, _index: usize, _phase: &Phase) -> f64 {
+                self.0
+            }
+            fn step(&mut self, _node: usize, _t: SimTime, _dt: SimDuration, _a: Activity<'_>) {}
+        }
         let phases: Vec<Phase> = phase_works
             .iter()
             .enumerate()
             .map(|(i, &w)| Phase::new(format!("p{i}"), PhaseMix::pure(PhaseKind::ComputeBound), w))
             .collect();
         let total: f64 = phase_works.iter().sum();
-        let mut cursor = WorkloadCursor::new(Workload::from_phases(phases));
-        let mut done = 0.0;
+        // One node: no imbalance, so its program is the phase list itself.
+        let mut lanes = Lockstep::new(
+            Workload::from_phases(phases), 1, &MpiModel::typical(), &SeedTree::new(0),
+        );
+        let mut t = SimTime::ZERO;
         for (speed, dt) in slices {
-            if cursor.is_complete() {
+            if lanes.is_complete() {
                 break;
             }
-            let r = cursor.advance(speed, dt);
-            done += r.work_done;
-            if cursor.at_barrier() {
-                cursor.enter_next_phase();
-            }
+            t += lanes.step(t, SimDuration::from_secs_f64(dt), &mut Speed(speed)).dt;
         }
+        let done = lanes.work_done()[0];
         prop_assert!(done <= total * (1.0 + 1e-9));
-        prop_assert!((done + cursor.remaining_total() - total).abs() <= 1e-6 * total);
+        prop_assert!((done + lanes.remaining_total(0) - total).abs() <= 1e-6 * total);
     }
 
     /// Power-budget splitting conserves watts for any weights.
