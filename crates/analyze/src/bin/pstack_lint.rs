@@ -2,16 +2,15 @@
 //! framework configuration and report diagnostics.
 //!
 //! ```text
-//! usage: pstack_lint [--json] [--allow-errors] [--quiet] [--list-rules]
+//! usage: pstack_lint [--json] [--quiet] [--list-rules]
 //!
 //!   --json          emit the machine-readable JSON report instead of text
-//!   --allow-errors  always exit 0, even with error-severity findings
 //!   --quiet         suppress output; only the exit code speaks
 //!   --list-rules    print the rule table (ID, name, description) and exit
 //! ```
 //!
-//! Exit code is 1 when any error-severity diagnostic is present (unless
-//! `--allow-errors` or `PSTACK_LINT_SKIP=1`), 2 on usage errors, else 0.
+//! Exit code is 1 when any error-severity diagnostic is present, 2 on usage
+//! errors, else 0.
 
 #![allow(clippy::disallowed_methods)]
 
@@ -19,17 +18,15 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut json = false;
-    let mut allow_errors = false;
     let mut quiet = false;
     let mut list_rules = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--json" => json = true,
-            "--allow-errors" => allow_errors = true,
             "--quiet" | "-q" => quiet = true,
             "--list-rules" => list_rules = true,
             "--help" | "-h" => {
-                println!("usage: pstack_lint [--json] [--allow-errors] [--quiet] [--list-rules]");
+                println!("usage: pstack_lint [--json] [--quiet] [--list-rules]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -61,10 +58,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let skipped = std::env::var(pstack_analyze::SKIP_ENV)
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    if report.has_errors() && !allow_errors && !skipped {
+    if report.has_errors() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

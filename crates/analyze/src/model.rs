@@ -9,7 +9,7 @@
 //! them deliberately-broken snapshots.
 
 use powerstack_core::cotune::{HypreCoTune, KernelCoTune};
-use powerstack_core::experiments::{self, ArtifactInfo, ExperimentInfo};
+use powerstack_core::experiments::{self, ExperimentInfo};
 use powerstack_core::{
     component_catalog, knob_registry, vocabulary, CatalogEntry, Knob, Objective, Term,
 };
@@ -20,30 +20,7 @@ use pstack_autotune::{
 use pstack_faults::{FaultPlan, FleetFaultPlan};
 use pstack_history::{HistoryStore, SpaceShape, HISTORY_FORMAT_VERSION};
 use pstack_hwmodel::NodeConfig;
-
-/// One row of the declared lock hierarchy (PSA017 checks the declaration
-/// covers every `pstack_sync::sites` entry and that the `may_acquire`
-/// relation is a rank-consistent DAG).
-pub struct LockSiteDecl {
-    /// Site label, matching a `pstack_sync::sites` constant.
-    pub site: String,
-    /// Hierarchy rank: a site may only acquire sites of *strictly greater*
-    /// rank while held (outer locks rank lower than inner locks).
-    pub rank: u32,
-    /// Sites this one is permitted to acquire while held.
-    pub may_acquire: Vec<String>,
-}
-
-impl LockSiteDecl {
-    /// Build one hierarchy row.
-    pub fn new(site: impl Into<String>, rank: u32, may_acquire: &[&str]) -> Self {
-        LockSiteDecl {
-            site: site.into(),
-            rank,
-            may_acquire: may_acquire.iter().map(|s| s.to_string()).collect(),
-        }
-    }
-}
+use pstack_sync::SiteDecl;
 
 /// One search configuration the framework will run: a parameter space plus
 /// the tuner budget and warm-start priors aimed at it.
@@ -272,9 +249,6 @@ pub struct FrameworkModel {
     pub vocabulary: Vec<Term>,
     /// The experiment manifest.
     pub experiments: Vec<ExperimentInfo>,
-    /// The bench-binary manifest (PSA014 pairs JSON artifacts with trace
-    /// exporters).
-    pub artifacts: Vec<ArtifactInfo>,
     /// Every search configuration the experiments run.
     pub searches: Vec<SearchSpec>,
     /// Control resources that have an arbiter mediating concurrent writers
@@ -305,10 +279,10 @@ pub struct FrameworkModel {
     /// The shared performance-history configuration (PSA019 checks shard
     /// bounds, format versions, and key fingerprint sanity).
     pub history: HistorySpec,
-    /// The declared lock hierarchy (PSA017 checks it covers every
-    /// `pstack_sync::sites` entry and that `may_acquire` is a
+    /// A copy of the `pstack_sync::sites` registry, each site with its
+    /// rank and may-acquire list (PSA017 checks the relation is a
     /// rank-consistent DAG).
-    pub lock_hierarchy: Vec<LockSiteDecl>,
+    pub sync_sites: Vec<SiteDecl>,
     /// The event-engine exercise recording (PSA020 checks cursor
     /// monotonicity, same-instant rank order, event conservation, and that
     /// enclave budget shards sum to the site budget exactly).
@@ -317,8 +291,9 @@ pub struct FrameworkModel {
 
 impl FrameworkModel {
     /// The model of the shipped framework: everything the experiments in
-    /// this workspace actually construct. `pstack_lint` and the startup
-    /// gates run the rules over this snapshot.
+    /// this workspace actually construct. `pstack_lint`, the `lint_report`
+    /// artifact and the workspace's lint test run the rules over this
+    /// snapshot.
     pub fn shipped() -> Self {
         let hypre = HypreCoTune::new(Objective::MinEdp);
         let kernel = KernelCoTune::new(Objective::MinEnergy);
@@ -328,7 +303,6 @@ impl FrameworkModel {
             catalog: component_catalog(),
             vocabulary: vocabulary(),
             experiments: experiments::manifest(),
-            artifacts: experiments::artifact_registry(),
             searches: vec![
                 SearchSpec::new("cotune.hypre", hypre.space(), 100, 8),
                 SearchSpec::new("cotune.kernel", kernel.space(), 100, 8),
@@ -348,54 +322,20 @@ impl FrameworkModel {
             history: HistorySpec {
                 shard_count: HistoryStore::DEFAULT_SHARDS,
                 format_version: HISTORY_FORMAT_VERSION,
-                keys: vec![
-                    HistoryKeyDecl::new(
-                        "history.hypre",
-                        "hypre",
-                        "min-edp",
-                        pstack_autotune::space_shape(&hypre.space()),
-                    ),
-                    HistoryKeyDecl::new(
-                        "history.kernel",
-                        "kernel",
-                        "min-energy",
-                        pstack_autotune::space_shape(&kernel.space()),
-                    ),
-                ],
+                keys: experiments::history::arms()
+                    .iter()
+                    .map(|arm| {
+                        HistoryKeyDecl::new(
+                            format!("history.{}", arm.app),
+                            arm.app,
+                            arm.objective,
+                            pstack_autotune::space_shape(&arm.space),
+                        )
+                    })
+                    .collect(),
             },
-            lock_hierarchy: Self::shipped_lock_hierarchy(),
+            sync_sites: pstack_sync::sites::all().to_vec(),
             events: EventModelSpec::shipped(),
         }
-    }
-
-    /// The shipped lock hierarchy: one row per `pstack_sync::sites` entry,
-    /// outer locks ranked below inner ones. The permitted while-held
-    /// acquisitions are worker-pool slot → trace ring (a worker may flush
-    /// a span while publishing its result), history shard gate → shard
-    /// view (an append absorbs other writers' frames before writing) and
-    /// history shard gate → history append counter (the store bumps its
-    /// diagnostics counter before releasing the gate); every other site is
-    /// a leaf.
-    pub fn shipped_lock_hierarchy() -> Vec<LockSiteDecl> {
-        use pstack_sync::sites;
-        vec![
-            LockSiteDecl::new(sites::POOL_CURSOR, 10, &[]),
-            LockSiteDecl::new(sites::POOL_SLOT, 20, &[sites::TRACE_RING]),
-            LockSiteDecl::new(sites::CKPT_SCRATCH, 40, &[]),
-            LockSiteDecl::new(sites::FAULTS_SLOWDOWNS, 41, &[]),
-            LockSiteDecl::new(sites::FAULTS_KILLS, 42, &[]),
-            LockSiteDecl::new(
-                sites::HISTORY_SHARD,
-                45,
-                &[sites::HISTORY_APPENDS, sites::HISTORY_CACHE],
-            ),
-            LockSiteDecl::new(sites::HISTORY_APPENDS, 46, &[]),
-            LockSiteDecl::new(sites::HISTORY_CACHE, 46, &[]),
-            LockSiteDecl::new(sites::RM_EVENTS, 47, &[]),
-            LockSiteDecl::new(sites::RM_SITE_TREE, 48, &[]),
-            LockSiteDecl::new(sites::TRACE_RING, 50, &[]),
-            LockSiteDecl::new(sites::TRACE_SPAN_ID, 51, &[]),
-            LockSiteDecl::new(sites::TRACE_TID, 52, &[]),
-        ]
     }
 }

@@ -2,9 +2,14 @@
 //!
 //! Every rule is a [`Lint`] with a stable ID (`PSA001`..`PSA021`), a
 //! one-line description, and a pure `check` over a [`FrameworkModel`].
-//! IDs are never reused: PSA018, the old raw-`std::sync` source scan, is
-//! retired, because `clippy.toml`'s `disallowed-types` and
-//! `disallowed-methods` enforce that ban in the compiler.
+//! IDs are never reused. Three are retired: PSA018, the old raw-`std::sync`
+//! source scan, because `clippy.toml`'s `disallowed-types` and
+//! `disallowed-methods` enforce that ban in the compiler; PSA014 (every
+//! JSON artifact has a trace), because `pstack_bench::write` writes a trace
+//! for every artifact by construction; and PSA016 (the batch-evaluator
+//! bench declares a scalar-equivalence check), because
+//! `pstack_bench::evalthroughput::run` asserts that equivalence in every
+//! round and `bench_diff` gates `bit_identical` exactly.
 //! Rules never mutate anything and never read the environment, so the
 //! report for a given model is byte-deterministic. [`registry`] returns
 //! them in fixed ID order; [`crate::analyze`] runs them all.
@@ -49,9 +54,7 @@ pub fn registry() -> Vec<Box<dyn Lint>> {
         Box::new(LayerInvariants),
         Box::new(FaultPlanSanity),
         Box::new(RetryBudgetFeasibility),
-        Box::new(TraceExporterCoverage),
         Box::new(CheckpointSchema),
-        Box::new(ScalarEquivalenceCoverage),
         Box::new(LockHierarchyCoverage),
         Box::new(HistoryKeySanity),
         Box::new(EventScheduleSanity),
@@ -1140,66 +1143,6 @@ impl Lint for RetryBudgetFeasibility {
 }
 
 // ---------------------------------------------------------------------------
-// PSA014 — trace-exporter coverage
-// ---------------------------------------------------------------------------
-
-/// Every bench binary that writes a `results/*.json` artifact must also
-/// register a trace exporter (`results/trace_*.json`): an artifact with no
-/// trace cannot be attributed when a regeneration slows down or diverges.
-/// Duplicate bin registrations are errors too — the manifest is the lint's
-/// ground truth, so it must be internally consistent.
-pub struct TraceExporterCoverage;
-
-impl Lint for TraceExporterCoverage {
-    fn id(&self) -> &'static str {
-        "PSA014"
-    }
-    fn name(&self) -> &'static str {
-        "trace-exporter-coverage"
-    }
-    fn description(&self) -> &'static str {
-        "every JSON-writing bench bin registers a trace exporter"
-    }
-    fn check(&self, model: &FrameworkModel) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        let mut seen = BTreeMap::new();
-        for a in &model.artifacts {
-            let path = format!("bench.bin.{}", a.bin);
-            if *seen.entry(a.bin).or_insert(0usize) >= 1 {
-                out.push(Diagnostic::error(
-                    self.id(),
-                    "cross-layer",
-                    &path,
-                    format!("bin {} registered more than once", a.bin),
-                ));
-            }
-            *seen.get_mut(a.bin).expect("just inserted") += 1;
-            if a.writes_json && !a.trace_exporter {
-                out.push(Diagnostic::error(
-                    self.id(),
-                    "cross-layer",
-                    &path,
-                    format!(
-                        "{} writes results/*.json but registers no trace exporter \
-                         (wrap its work in pstack_bench::traced)",
-                        a.bin
-                    ),
-                ));
-            }
-        }
-        if model.artifacts.is_empty() {
-            out.push(Diagnostic::warn(
-                self.id(),
-                "cross-layer",
-                "bench.bin",
-                "artifact registry is empty: no bench bins are declared",
-            ));
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
 // PSA015 — checkpoint-schema compatibility
 // ---------------------------------------------------------------------------
 
@@ -1292,77 +1235,15 @@ impl Lint for CheckpointSchema {
 }
 
 // ---------------------------------------------------------------------------
-// PSA016 — scalar-equivalence coverage
-// ---------------------------------------------------------------------------
-
-/// Benchmarks built on a batch-capable evaluator must declare a
-/// scalar-equivalence check. The batched SoA fast path earns its speedups by
-/// restructuring the oracle's arithmetic, so every registered bench artifact
-/// that times it has to assert the contract that keeps it honest:
-/// bit-identical results on the exact lane, bounded relative error on coarse
-/// lanes. A `batch_evaluator` registration without `scalar_equivalence` is a
-/// fast path whose numbers nothing would catch drifting from the model it
-/// claims to accelerate. The inverse declaration (`scalar_equivalence`
-/// without `batch_evaluator`) is flagged too — an equivalence check with no
-/// batch path compares the oracle to itself and gives false confidence.
-pub struct ScalarEquivalenceCoverage;
-
-impl Lint for ScalarEquivalenceCoverage {
-    fn id(&self) -> &'static str {
-        "PSA016"
-    }
-    fn name(&self) -> &'static str {
-        "scalar-equivalence-coverage"
-    }
-    fn description(&self) -> &'static str {
-        "every batch-evaluator bench bin declares a scalar-equivalence check"
-    }
-    fn check(&self, model: &FrameworkModel) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for a in &model.artifacts {
-            let path = format!("bench.bin.{}", a.bin);
-            if a.batch_evaluator && !a.scalar_equivalence {
-                out.push(Diagnostic::error(
-                    self.id(),
-                    "cross-layer",
-                    &path,
-                    format!(
-                        "{} times a batch-capable evaluator but declares no \
-                         scalar-equivalence check (assert the exact lane is \
-                         bit-identical to the scalar oracle and bound coarse-lane \
-                         error, then register with ArtifactInfo::batched)",
-                        a.bin
-                    ),
-                ));
-            }
-            if a.scalar_equivalence && !a.batch_evaluator {
-                out.push(Diagnostic::warn(
-                    self.id(),
-                    "cross-layer",
-                    &path,
-                    format!(
-                        "{} declares a scalar-equivalence check but no batch \
-                         evaluator; the check compares the oracle to itself",
-                        a.bin
-                    ),
-                ));
-            }
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
 // PSA017 — lock-hierarchy coverage
 // ---------------------------------------------------------------------------
 
-/// The declared lock hierarchy must cover every synchronization site
-/// `pstack-sync` registers, and the `may_acquire` relation must be a
+/// The lock hierarchy the `pstack-sync` site registry declares must be a
 /// rank-consistent DAG: a site may only permit acquisition of sites with a
-/// strictly greater rank, no site may be declared twice, and no declaration
-/// may reference an unknown or undeclared site. A cycle in the declared
-/// relation is the static shadow of an ABBA deadlock; a registry site with
-/// no hierarchy row is a lock the deadlock argument silently ignores.
+/// strictly greater rank, no label may be declared twice, and no
+/// `may_acquire` entry may name an undeclared site. A cycle in the declared
+/// relation is the static shadow of an ABBA deadlock. Every site carries
+/// its rank in the registry itself, so none can go without one.
 pub struct LockHierarchyCoverage;
 
 impl Lint for LockHierarchyCoverage {
@@ -1373,77 +1254,47 @@ impl Lint for LockHierarchyCoverage {
         "lock-hierarchy-coverage"
     }
     fn description(&self) -> &'static str {
-        "declared lock hierarchy covers every pstack-sync site and is an acyclic, rank-consistent DAG"
+        "the pstack-sync site registry's lock hierarchy is an acyclic, rank-consistent DAG"
     }
     fn check(&self, model: &FrameworkModel) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        let decls = &model.lock_hierarchy;
-        let ranks: BTreeMap<&str, u32> = decls.iter().map(|d| (d.site.as_str(), d.rank)).collect();
+        let sites = &model.sync_sites;
+        let ranks: BTreeMap<&str, u32> = sites.iter().map(|d| (d.label, d.rank)).collect();
 
         // Duplicate declarations collapse in the rank map; catch them first.
         let mut seen = std::collections::BTreeSet::new();
-        for d in decls {
-            if !seen.insert(d.site.as_str()) {
+        for d in sites {
+            if !seen.insert(d.label) {
                 out.push(Diagnostic::error(
                     self.id(),
                     "cross-layer",
-                    format!("sync.hierarchy.{}", d.site),
-                    format!("site {} is declared twice in the lock hierarchy", d.site),
-                ));
-            }
-        }
-
-        // Coverage: every registered site has a hierarchy row...
-        for site in pstack_sync::sites::all() {
-            if !ranks.contains_key(site.label) {
-                out.push(Diagnostic::error(
-                    self.id(),
-                    "cross-layer",
-                    format!("sync.hierarchy.{}", site.label),
-                    format!(
-                        "pstack-sync site {} (owner {}) has no lock-hierarchy declaration",
-                        site.label, site.owner
-                    ),
-                ));
-            }
-        }
-        // ...and every row names a registered site (a stale row is a lie
-        // about the codebase, downgraded to a warning).
-        for d in decls {
-            if !pstack_sync::sites::is_declared(&d.site) {
-                out.push(Diagnostic::warn(
-                    self.id(),
-                    "cross-layer",
-                    format!("sync.hierarchy.{}", d.site),
-                    format!(
-                        "lock-hierarchy row {} matches no pstack-sync site (stale declaration?)",
-                        d.site
-                    ),
+                    format!("sync.hierarchy.{}", d.label),
+                    format!("site {} is declared twice in the site registry", d.label),
                 ));
             }
         }
 
         // Edge sanity: targets declared, ranks strictly increasing inward.
-        for d in decls {
-            for target in &d.may_acquire {
-                match ranks.get(target.as_str()) {
+        for d in sites {
+            for &target in d.may_acquire {
+                match ranks.get(target) {
                     None => out.push(Diagnostic::error(
                         self.id(),
                         "cross-layer",
-                        format!("sync.hierarchy.{}", d.site),
+                        format!("sync.hierarchy.{}", d.label),
                         format!(
-                            "{} may_acquire {}, which has no hierarchy declaration",
-                            d.site, target
+                            "{} may_acquire {}, which is not a declared site",
+                            d.label, target
                         ),
                     )),
                     Some(&inner) if inner <= d.rank => out.push(Diagnostic::error(
                         self.id(),
                         "cross-layer",
-                        format!("sync.hierarchy.{}", d.site),
+                        format!("sync.hierarchy.{}", d.label),
                         format!(
                             "{} (rank {}) may_acquire {} (rank {}): inner locks must \
                              rank strictly above the locks held while taking them",
-                            d.site, d.rank, target, inner
+                            d.label, d.rank, target, inner
                         ),
                     )),
                     Some(_) => {}
@@ -1454,7 +1305,7 @@ impl Lint for LockHierarchyCoverage {
         // Cycle check over the declared relation (rank consistency already
         // implies acyclicity when it holds, but a model can be wrong in
         // both ways at once — report the cycle explicitly).
-        if let Some(cycle) = declared_cycle(decls) {
+        if let Some(cycle) = declared_cycle(sites) {
             out.push(Diagnostic::error(
                 self.id(),
                 "cross-layer",
@@ -1470,16 +1321,8 @@ impl Lint for LockHierarchyCoverage {
 }
 
 /// First cycle in the declared `may_acquire` relation, as a closed path.
-fn declared_cycle(decls: &[crate::model::LockSiteDecl]) -> Option<Vec<String>> {
-    let edges: BTreeMap<&str, Vec<&str>> = decls
-        .iter()
-        .map(|d| {
-            (
-                d.site.as_str(),
-                d.may_acquire.iter().map(String::as_str).collect(),
-            )
-        })
-        .collect();
+fn declared_cycle(sites: &[pstack_sync::SiteDecl]) -> Option<Vec<String>> {
+    let edges: BTreeMap<&str, &[&str]> = sites.iter().map(|d| (d.label, d.may_acquire)).collect();
     // Iterative DFS, white/grey/black: a grey re-entry closes a cycle.
     let mut color: BTreeMap<&str, u8> = BTreeMap::new();
     for start in edges.keys() {
@@ -1490,7 +1333,7 @@ fn declared_cycle(decls: &[crate::model::LockSiteDecl]) -> Option<Vec<String>> {
         let mut path: Vec<&str> = vec![start];
         color.insert(start, 1);
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            let succ = edges.get(node).map(Vec::as_slice).unwrap_or(&[]);
+            let succ: &[&str] = edges.get(node).copied().unwrap_or(&[]);
             if *next < succ.len() {
                 let target = succ[*next];
                 *next += 1;
@@ -1945,8 +1788,13 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(ids, sorted, "rule IDs must be unique and in order");
-        assert_eq!(ids.len(), 20);
-        assert!(!ids.contains(&"PSA018"), "PSA018 is retired, never reused");
+        assert_eq!(ids.len(), 18);
+        for retired in ["PSA014", "PSA016", "PSA018"] {
+            assert!(
+                !ids.contains(&retired),
+                "{retired} is retired, never reused"
+            );
+        }
         for r in &rules {
             assert!(!r.name().is_empty() && !r.description().is_empty());
         }

@@ -4,7 +4,7 @@
 
 #![allow(clippy::disallowed_methods)]
 
-use powerstack_core::experiments::{ArtifactInfo, ExperimentInfo};
+use powerstack_core::experiments::ExperimentInfo;
 use powerstack_core::registry::{Actor, Knob, Layer, Temporal};
 use pstack_analyze::rules::{SearchFeasibility, SpaceWellFormedness};
 use pstack_analyze::{analyze, AlgorithmSchema, FrameworkModel, SearchSpec, Severity};
@@ -578,129 +578,6 @@ fn psa013_warns_on_shrinking_backoff() {
     );
 }
 
-// --- PSA014: trace-exporter coverage ---------------------------------------
-
-#[test]
-fn psa014_passes_on_shipped_artifacts() {
-    assert!(errors_of(&shipped(), "PSA014").is_empty());
-}
-
-#[test]
-fn psa014_flags_json_writer_without_trace_exporter() {
-    let mut m = shipped();
-    m.artifacts.push(ArtifactInfo {
-        bin: "rogue_dump",
-        writes_json: true,
-        trace_exporter: false,
-        batch_evaluator: false,
-        scalar_equivalence: false,
-    });
-    let errs = errors_of(&m, "PSA014");
-    assert!(
-        errs.iter()
-            .any(|e| e.contains("rogue_dump") && e.contains("trace exporter")),
-        "untraced JSON writer not flagged: {errs:?}"
-    );
-}
-
-#[test]
-fn psa014_accepts_textonly_bin_without_trace() {
-    let mut m = shipped();
-    m.artifacts.push(ArtifactInfo {
-        bin: "text_only_report",
-        writes_json: false,
-        trace_exporter: false,
-        batch_evaluator: false,
-        scalar_equivalence: false,
-    });
-    assert!(errors_of(&m, "PSA014").is_empty());
-}
-
-#[test]
-fn psa014_flags_duplicate_bin_registration() {
-    let mut m = shipped();
-    let first = m.artifacts[0].clone();
-    m.artifacts.push(first);
-    let errs = errors_of(&m, "PSA014");
-    assert!(
-        errs.iter().any(|e| e.contains("more than once")),
-        "duplicate registration not flagged: {errs:?}"
-    );
-}
-
-// --- PSA016: scalar-equivalence coverage -----------------------------------
-
-#[test]
-fn psa016_passes_on_shipped_artifacts() {
-    assert!(errors_of(&shipped(), "PSA016").is_empty());
-}
-
-#[test]
-fn psa016_flags_batch_evaluator_without_equivalence_check() {
-    let mut m = shipped();
-    m.artifacts.push(ArtifactInfo {
-        bin: "rogue_batch_bench",
-        writes_json: true,
-        trace_exporter: true,
-        batch_evaluator: true,
-        scalar_equivalence: false,
-    });
-    let errs = errors_of(&m, "PSA016");
-    assert!(
-        errs.iter()
-            .any(|e| e.contains("rogue_batch_bench") && e.contains("scalar-equivalence")),
-        "unchecked batch evaluator not flagged: {errs:?}"
-    );
-}
-
-#[test]
-fn psa016_warns_on_equivalence_check_without_batch_path() {
-    let mut m = shipped();
-    m.artifacts.push(ArtifactInfo {
-        bin: "oracle_vs_oracle",
-        writes_json: true,
-        trace_exporter: true,
-        batch_evaluator: false,
-        scalar_equivalence: true,
-    });
-    let warns: Vec<String> = analyze(&m)
-        .by_rule("PSA016")
-        .filter(|d| d.severity == Severity::Warn)
-        .map(|d| format!("{d}"))
-        .collect();
-    assert!(
-        warns.iter().any(|w| w.contains("oracle_vs_oracle")),
-        "oracle-vs-oracle equivalence not warned: {warns:?}"
-    );
-}
-
-#[test]
-fn psa016_accepts_batched_registration() {
-    let m = shipped();
-    assert!(
-        m.artifacts
-            .iter()
-            .any(|a| a.bin == "bench_evalthroughput" && a.batch_evaluator && a.scalar_equivalence),
-        "bench_evalthroughput must register via ArtifactInfo::batched"
-    );
-    assert!(errors_of(&m, "PSA016").is_empty());
-}
-
-#[test]
-fn psa014_warns_on_empty_registry() {
-    let mut m = shipped();
-    m.artifacts.clear();
-    let warns: Vec<String> = analyze(&m)
-        .by_rule("PSA014")
-        .filter(|d| d.severity == Severity::Warn)
-        .map(|d| format!("{d}"))
-        .collect();
-    assert!(
-        warns.iter().any(|w| w.contains("empty")),
-        "empty registry not warned: {warns:?}"
-    );
-}
-
 // --- PSA015: checkpoint-schema compatibility -------------------------------
 
 #[test]
@@ -810,21 +687,17 @@ fn psa015_warns_on_empty_algorithm_list() {
 
 // --- PSA017: lock-hierarchy coverage ---------------------------------------
 
-#[test]
-fn psa017_passes_on_shipped_hierarchy() {
-    assert!(errors_of(&shipped(), "PSA017").is_empty());
+/// The model's copy of the site registry entry labelled `label`.
+fn site<'m>(m: &'m mut FrameworkModel, label: &str) -> &'m mut pstack_sync::SiteDecl {
+    m.sync_sites
+        .iter_mut()
+        .find(|d| d.label == label)
+        .expect("shipped site")
 }
 
 #[test]
-fn psa017_flags_missing_site_declaration() {
-    let mut m = shipped();
-    m.lock_hierarchy.retain(|d| d.site != "trace.ring");
-    let errs = errors_of(&m, "PSA017");
-    assert!(
-        errs.iter()
-            .any(|e| e.contains("trace.ring") && e.contains("no lock-hierarchy declaration")),
-        "{errs:?}"
-    );
+fn psa017_passes_on_shipped_hierarchy() {
+    assert!(errors_of(&shipped(), "PSA017").is_empty());
 }
 
 #[test]
@@ -832,11 +705,7 @@ fn psa017_flags_injected_cycle() {
     let mut m = shipped();
     // Close a loop: trace.ring → autotune.pool.slot, while the shipped
     // hierarchy already has autotune.pool.slot → trace.ring.
-    for d in &mut m.lock_hierarchy {
-        if d.site == "trace.ring" {
-            d.may_acquire.push("autotune.pool.slot".to_string());
-        }
-    }
+    site(&mut m, "trace.ring").may_acquire = &["autotune.pool.slot"];
     let errs = errors_of(&m, "PSA017");
     assert!(errs.iter().any(|e| e.contains("cycle")), "{errs:?}");
 }
@@ -845,11 +714,7 @@ fn psa017_flags_injected_cycle() {
 fn psa017_flags_rank_inversion() {
     let mut m = shipped();
     // Permit an inner lock to acquire an outer one: the ranks contradict.
-    for d in &mut m.lock_hierarchy {
-        if d.site == "trace.span_id" {
-            d.may_acquire.push("autotune.pool.cursor".to_string());
-        }
-    }
+    site(&mut m, "trace.span_id").may_acquire = &["autotune.pool.cursor"];
     let errs = errors_of(&m, "PSA017");
     assert!(
         errs.iter().any(|e| e.contains("rank strictly above")),
@@ -860,11 +725,7 @@ fn psa017_flags_rank_inversion() {
 #[test]
 fn psa017_flags_undeclared_may_acquire_target() {
     let mut m = shipped();
-    for d in &mut m.lock_hierarchy {
-        if d.site == "trace.ring" {
-            d.may_acquire.push("sync.nonexistent".to_string());
-        }
-    }
+    site(&mut m, "trace.ring").may_acquire = &["sync.nonexistent"];
     let errs = errors_of(&m, "PSA017");
     assert!(
         errs.iter().any(|e| e.contains("sync.nonexistent")),
@@ -873,34 +734,10 @@ fn psa017_flags_undeclared_may_acquire_target() {
 }
 
 #[test]
-fn psa017_warns_on_stale_declaration() {
-    let mut m = shipped();
-    m.lock_hierarchy
-        .push(pstack_analyze::model::LockSiteDecl::new(
-            "sync.retired_site",
-            99,
-            &[],
-        ));
-    let warns: Vec<String> = analyze(&m)
-        .by_rule("PSA017")
-        .filter(|d| d.severity == Severity::Warn)
-        .map(|d| format!("{d}"))
-        .collect();
-    assert!(
-        warns.iter().any(|w| w.contains("sync.retired_site")),
-        "{warns:?}"
-    );
-}
-
-#[test]
 fn psa017_flags_duplicate_declaration() {
     let mut m = shipped();
-    m.lock_hierarchy
-        .push(pstack_analyze::model::LockSiteDecl::new(
-            "trace.ring",
-            50,
-            &[],
-        ));
+    let dup = *site(&mut m, "trace.ring");
+    m.sync_sites.push(dup);
     let errs = errors_of(&m, "PSA017");
     assert!(
         errs.iter().any(|e| e.contains("declared twice")),

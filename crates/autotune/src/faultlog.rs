@@ -242,13 +242,6 @@ impl FaultLog {
         self.counts.bump(kind);
     }
 
-    /// Count `n` events of one kind without storing them.
-    pub fn note_n(&mut self, kind: FaultKind, n: usize) {
-        for _ in 0..n {
-            self.counts.bump(kind);
-        }
-    }
-
     /// Fold another log into this one (events concatenate up to the cap;
     /// counters and backoff add).
     pub fn merge(&mut self, other: &FaultLog) {

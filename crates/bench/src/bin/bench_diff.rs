@@ -3,22 +3,17 @@
 //! Usage: `bench_diff [COMMITTED_DIR] [FRESH_DIR] [--require NAME ...]`
 //!
 //! Defaults: committed `results/`, fresh `$POWERSTACK_RESULTS_DIR` (the
-//! directory the regenerating bins were pointed at). Compares every
+//! directory `regenerate_all` was pointed at). Compares every
 //! artifact covered by [`pstack_bench::diff::shipped_rules`] that exists in
 //! the fresh directory, prints the perfgate table, and exits nonzero on any
 //! tolerance violation or missing required artifact. The CI `perfgate` job
 //! regenerates a fast subset into a scratch dir and runs this binary with
-//! that subset `--require`d.
-//!
-//! Registered `writes_json: false`: this binary is a pure gate — it writes
-//! no artifact of its own (and therefore carries no trace exporter).
+//! that subset `--require`d. It writes no artifact of its own.
 
 use pstack_bench::diff;
 use std::path::PathBuf;
 
 fn main() {
-    pstack_analyze::startup_gate();
-
     let mut committed = PathBuf::from("results");
     let mut fresh = PathBuf::from(
         std::env::var("POWERSTACK_RESULTS_DIR").unwrap_or_else(|_| "target/perfgate".to_string()),
@@ -49,8 +44,13 @@ fn main() {
         }
     }
 
-    let report =
-        pstack_bench::run_or_exit("bench_diff", diff::diff_dirs(&committed, &fresh, &require));
+    let report = match diff::diff_dirs(&committed, &fresh, &require) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("error: bench_diff: {e}");
+            std::process::exit(1);
+        }
+    };
     println!("{}", diff::render(&report));
     if report.failures > 0 {
         eprintln!(

@@ -1,7 +1,6 @@
 //! Evaluation-throughput measurement for the batched SoA fast path.
 //!
-//! Shared between the `bench_evalthroughput` binary and `regenerate_all`:
-//! times the same deterministic sample of co-tune configurations through
+//! The `bench_evalthroughput` artifact: times the same deterministic sample of co-tune configurations through
 //! three evaluators and reports evals/min for each:
 //!
 //! - `scalar`: the oracle — `simulate_app` rebuilds the full simulated
@@ -31,11 +30,10 @@
 //! Two spaces are sampled: the fig4-class kernel space (single node,
 //! §3.2.3's ytopt loop) and the uc3-class Hypre space (multi-node, §4.4).
 //! The headline acceptance check asserts ≥[`FIG4_TARGET_SPEEDUP`]× evals/min
-//! over scalar on the fig4-class space (enforced by the binary, reported
-//! here).
-//!
-//! The scalar-equivalence contract this artifact declares in
-//! `artifact_registry()` is enforced by lint PSA016.
+//! over scalar on the fig4-class space (the artifact's check in
+//! [`crate::TABLE`], reported here). The scalar-equivalence contract is
+//! asserted by [`run`] itself, in every round, and `bench_diff` gates
+//! `bit_identical` exactly.
 
 use powerstack_core::cotune::{HypreCoTune, KernelCoTune};
 use powerstack_core::interfaces::Objective;
@@ -212,8 +210,8 @@ fn bench_space(
 }
 
 /// Run the full throughput measurement: both spaces, all three lanes, with
-/// per-space and per-lane-pass trace spans under `parent` (use
-/// [`crate::traced_under`] around this).
+/// per-space and per-lane-pass trace spans under `parent` (the artifact's
+/// root span).
 pub fn run(parent: &SpanGuard<'_>) -> EvalThroughputResult {
     let kt = KernelCoTune::new(Objective::MinEdp);
     let ks = kt.space();

@@ -4,15 +4,14 @@
 //! {NodeOnly, EndToEnd}) over the E10 small fleet, plus the
 //! checkpointed-supervisor equivalence check: a kill-riddled
 //! [`FleetSupervisor`](pstack_faults::FleetSupervisor) run must land on the
-//! byte-identical fleet fingerprint of an unkilled run. Exits nonzero if
+//! byte-identical fleet fingerprint of an unkilled run. The check fails if
 //! any recovery SLO regresses: conservation
 //! (`submitted == completed + failed + rejected`), ≥95% completion of
 //! non-failed jobs, no sustained power overshoot, byte-identical replay at
 //! 1/2/4/8 drain workers, every MTBF-failed node back up at drain end, and
-//! the supervised run identical. Writes
-//! `results/bench_fleetfaults.{json,txt}`; the CI `chaosfleet` stage runs
-//! this binary and `perfgate` diffs its JSON against the committed
-//! baseline (deterministic counters exactly, wall-clock rates as ratios).
+//! the supervised run identical. `perfgate` diffs the JSON against the
+//! committed baseline (deterministic counters exactly, wall-clock rates as
+//! ratios).
 //!
 //! `POWERSTACK_CHAOSFLEET_SMOKE=1` shrinks every cell for plumbing checks.
 //! `POWERSTACK_FLEETFAULTS_INJECT_REGRESSION=1` synthetically breaks one
@@ -24,30 +23,33 @@ use powerstack_core::experiments::fleetfaults::{
 };
 use powerstack_core::framework::TuningLevel;
 use pstack_faults::FleetFaultPlan;
+use pstack_trace::SpanGuard;
 use serde::Serialize;
 use std::time::Instant;
 
-#[derive(Serialize)]
-struct ChaosArm {
+/// One grid cell's run.
+#[derive(Debug, Serialize)]
+pub struct ChaosArm {
     /// Wall-clock seconds for the cell's full SLO battery.
-    wall_s: f64,
+    pub wall_s: f64,
     /// Simulated hours advanced per wall second (perfgate MinRatio).
-    sim_hours_per_wall_s: f64,
+    pub sim_hours_per_wall_s: f64,
     /// The cell verdicts (deterministic; perfgate compares counters
     /// exactly).
-    result: ChaosResult,
+    pub result: ChaosResult,
 }
 
-#[derive(Serialize)]
-struct ChaosGate {
-    smoke: bool,
-    injected_regression: bool,
-    arms: Vec<ChaosArm>,
+/// The grid, the supervised check and the verdict.
+#[derive(Debug, Serialize)]
+pub struct ChaosGate {
+    pub smoke: bool,
+    pub injected_regression: bool,
+    pub arms: Vec<ChaosArm>,
     /// Kill/restart equivalence on the node-MTBF NodeOnly cell.
-    supervised: SupervisedCheck,
+    pub supervised: SupervisedCheck,
     /// Every cell's SLOs hold and the supervised run is identical.
-    all_slo_ok: bool,
-    violations: Vec<String>,
+    pub all_slo_ok: bool,
+    pub violations: Vec<String>,
 }
 
 /// Fewer jobs and a shorter horizon, with faults rescaled so every class
@@ -66,8 +68,9 @@ fn shrink_for_smoke(mut sc: ChaosScenario) -> ChaosScenario {
     sc
 }
 
-fn main() {
-    pstack_analyze::startup_gate();
+/// Run the grid (one `chaos_cell` span per cell) and the supervised check
+/// (a `supervised` span) under `root`.
+pub fn run(root: &SpanGuard<'_>) -> ChaosGate {
     let smoke = std::env::var("POWERSTACK_CHAOSFLEET_SMOKE").is_ok();
     let injected_regression = std::env::var("POWERSTACK_FLEETFAULTS_INJECT_REGRESSION").is_ok();
     let scenario = |tuning, plan| {
@@ -78,49 +81,41 @@ fn main() {
             sc
         }
     };
-
     let plans = [
         FleetFaultPlan::none(),
         FleetFaultPlan::node_mtbf_only(),
         FleetFaultPlan::mixed(),
     ];
     let tunings = [TuningLevel::NodeOnly, TuningLevel::EndToEnd];
-
-    let (mut arms, supervised) = pstack_bench::traced_under("bench_fleetfaults", |root| {
-        let arms: Vec<ChaosArm> = plans
-            .iter()
-            .flat_map(|plan| tunings.iter().map(move |&t| (plan.clone(), t)))
-            .map(|(plan, tuning)| {
-                let mut span = root.child("chaos_cell");
-                span.attr("plan", plan.name.clone());
-                span.attr("tuning", format!("{tuning:?}"));
-                let sc = scenario(tuning, plan);
-                let start = Instant::now();
-                let result = sc.run();
-                let wall_s = start.elapsed().as_secs_f64().max(1e-9);
-                eprintln!("[E11 {} {tuning:?}: {wall_s:.1}s]", sc.plan.name);
-                ChaosArm {
-                    wall_s,
-                    sim_hours_per_wall_s: sc.fleet.horizon_hours as f64 / wall_s,
-                    result,
-                }
-            })
-            .collect();
-        // Rolling kills with restart-from-checkpoint must not change a byte
-        // of the node-MTBF cell's outcome.
+    let mut arms: Vec<ChaosArm> = plans
+        .iter()
+        .flat_map(|plan| tunings.iter().map(move |&t| (plan.clone(), t)))
+        .map(|(plan, tuning)| {
+            let mut span = root.child("chaos_cell");
+            span.attr("plan", plan.name.clone());
+            span.attr("tuning", format!("{tuning:?}"));
+            let sc = scenario(tuning, plan);
+            let start = Instant::now();
+            let result = sc.run();
+            let wall_s = start.elapsed().as_secs_f64().max(1e-9);
+            ChaosArm {
+                wall_s,
+                sim_hours_per_wall_s: sc.fleet.horizon_hours as f64 / wall_s,
+                result,
+            }
+        })
+        .collect();
+    // Rolling kills with restart-from-checkpoint must not change a byte of
+    // the node-MTBF cell's outcome.
+    let supervised = {
         let _span = root.child("supervised");
         let cell = scenario(TuningLevel::NodeOnly, FleetFaultPlan::node_mtbf_only());
-        let supervised = pstack_bench::timed("E11 supervised", || {
-            fleetfaults::supervised_recovery_check(&cell, 0.3)
-        });
-        (arms, supervised)
-    });
-
+        fleetfaults::supervised_recovery_check(&cell, 0.3)
+    };
     if injected_regression {
         // Break one verdict on purpose so CI can watch the gate trip.
         arms[0].result.conservation_ok = false;
     }
-
     let mut violations: Vec<String> = arms
         .iter()
         .flat_map(|a| {
@@ -136,16 +131,19 @@ fn main() {
             supervised.killed_fingerprint, supervised.clean_fingerprint
         ));
     }
-
-    let gate = ChaosGate {
+    ChaosGate {
         smoke,
         injected_regression,
         all_slo_ok: violations.is_empty(),
         arms,
         supervised,
         violations,
-    };
+    }
+}
 
+/// The E11 table, the supervised line, each cell's wall time and every
+/// violation.
+pub fn render(gate: &ChaosGate) -> String {
     let results: Vec<ChaosResult> = gate.arms.iter().map(|a| a.result.clone()).collect();
     let mut rendered = fleetfaults::render(&results);
     rendered.push_str(&format!(
@@ -172,19 +170,16 @@ fn main() {
     for v in &gate.violations {
         rendered.push_str(&format!("VIOLATION {v}\n"));
     }
-    pstack_bench::emit("bench_fleetfaults", &rendered, &gate);
+    rendered
+}
 
-    if !gate.all_slo_ok {
-        for v in &gate.violations {
-            eprintln!("SLO violation: {v}");
-        }
-        eprintln!(
-            "error: bench_fleetfaults: {} recovery SLO violation(s); see {}",
+/// Every recovery SLO holds.
+pub fn check(gate: &ChaosGate) -> Result<(), String> {
+    crate::ensure(gate.all_slo_ok, || {
+        format!(
+            "{} recovery SLO violation(s):\n  {}",
             gate.violations.len(),
-            pstack_bench::results_dir()
-                .join("bench_fleetfaults.txt")
-                .display()
-        );
-        std::process::exit(1);
-    }
+            gate.violations.join("\n  ")
+        )
+    })
 }

@@ -1,7 +1,6 @@
 //! Lock-order / schedule-invariance audit artifact.
 //!
-//! Shared between the `bench_lockorder` binary and `regenerate_all`: drives
-//! all four tuning drivers (`run`, `run_parallel`, `run_resilient`,
+//! The `lockorder` artifact: drives all four tuning drivers (`run`, `run_parallel`, `run_resilient`,
 //! `run_parallel_resilient`) through the deterministic schedule explorer
 //! ([`pstack_sync::explore`]) on the standard 16-seed × {1, 2, 4, 8}-worker
 //! grid, and reports per driver:
@@ -11,8 +10,8 @@
 //! - the merged lock-order graph: observed sites, acquisition counts,
 //!   held-while-acquiring edges, inversions, smells, and any cycle.
 //!
-//! The rendered artifact lands in `results/lockorder.{json,txt}`; the
-//! binary exits nonzero unless every driver is clean. This is the runtime
+//! The rendered artifact lands in `results/lockorder.{json,txt}`; its check
+//! fails unless every driver is clean. This is the runtime
 //! complement to the static checks (lint PSA017 and clippy's raw-`std::sync`
 //! ban): they pin the declared hierarchy, the explorer pins what actually
 //! happens under contention.
@@ -212,7 +211,7 @@ mod tests {
 
     #[test]
     fn compact_audit_is_clean_and_renders() {
-        // The full standard grid runs in the binary / CI stage; unit tests
+        // The full standard grid runs in the artifact / CI stage; unit tests
         // take the compact grid to stay fast in debug builds.
         let r = run(&SeedGrid::compact(2, 4));
         assert!(r.clean, "{}", render(&r));
@@ -242,7 +241,7 @@ mod tests {
         let registered: Vec<&str> = sites::all().iter().map(|s| s.label).collect();
         assert_eq!(
             committed, registered,
-            "results/lockorder.json is stale: rerun bench_lockorder"
+            "results/lockorder.json is stale: rerun regenerate_all lockorder"
         );
     }
 }

@@ -14,11 +14,15 @@
 //! - `compute_only`: the bare simulation, measuring how much of the pure
 //!   model computation the host's cores can overlap (≈1x on a single-core
 //!   container, near-linear on real multi-core hardware).
+//!
+//! [`check`] requires both parallel runs to reproduce the serial
+//! observations exactly.
 
 use powerstack_core::cotune::HypreCoTune;
 use powerstack_core::interfaces::Objective;
-use pstack_autotune::{RandomSearch, TuneReport, Tuner};
+use pstack_autotune::{Config, ParamSpace, RandomSearch, TraceCollector, TuneError, Tuner};
 use serde::Serialize;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const MAX_EVALS: usize = 100;
@@ -26,35 +30,39 @@ const SEED: u64 = 20200906;
 const WORKERS: usize = 8;
 const LAUNCH_LATENCY: Duration = Duration::from_millis(100);
 
+/// Serial vs parallel timing of one evaluator variant.
 #[derive(Debug, Serialize)]
-struct Comparison {
-    serial_s: f64,
-    parallel_s: f64,
-    speedup: f64,
-    results_identical: bool,
+pub struct Comparison {
+    pub serial_s: f64,
+    pub parallel_s: f64,
+    pub speedup: f64,
+    pub results_identical: bool,
 }
 
+/// Both variants, with the run's budget and outcome.
 #[derive(Debug, Serialize)]
-struct ParallelBenchResult {
-    max_evals: usize,
-    seed: u64,
-    workers: usize,
-    host_cores: usize,
-    launch_latency_ms: u64,
+pub struct ParallelBenchResult {
+    pub max_evals: usize,
+    pub seed: u64,
+    pub workers: usize,
+    pub host_cores: usize,
+    pub launch_latency_ms: u64,
     /// Hypre simulation + modeled plopper launch latency (headline).
-    plopper: Comparison,
+    pub plopper: Comparison,
     /// Bare Hypre simulation (bounded by physical cores).
-    compute_only: Comparison,
-    evals: usize,
-    best_objective: f64,
+    pub compute_only: Comparison,
+    pub evals: usize,
+    pub best_objective: f64,
 }
 
+/// Time one variant serially and in parallel; the parallel report rides
+/// along for the headline numbers.
 fn compare(
     cotune: &HypreCoTune,
     launch_latency: Option<Duration>,
-    trace: &std::sync::Arc<pstack_autotune::TraceCollector>,
-) -> (Comparison, TuneReport) {
-    let evaluate = |space: &pstack_autotune::ParamSpace, cfg: &pstack_autotune::Config| {
+    trace: &Arc<TraceCollector>,
+) -> Result<(Comparison, pstack_autotune::TuneReport), TuneError> {
+    let evaluate = |space: &ParamSpace, cfg: &Config| {
         if let Some(lat) = launch_latency {
             std::thread::sleep(lat);
         }
@@ -63,22 +71,15 @@ fn compare(
     let tuner = Tuner::new(cotune.space())
         .max_evals(MAX_EVALS)
         .seed(SEED)
-        .with_trace(std::sync::Arc::clone(trace));
-
+        .with_trace(Arc::clone(trace));
     let t0 = Instant::now();
-    let serial = tuner
-        .run(&mut RandomSearch::new(), evaluate)
-        .expect("joint space is non-empty");
+    let serial = tuner.run(&mut RandomSearch::new(), evaluate)?;
     let serial_s = t0.elapsed().as_secs_f64();
-
     let t1 = Instant::now();
-    let parallel = tuner
-        .run_parallel(&mut RandomSearch::new(), WORKERS, evaluate)
-        .expect("joint space is non-empty");
+    let parallel = tuner.run_parallel(&mut RandomSearch::new(), WORKERS, evaluate)?;
     let parallel_s = t1.elapsed().as_secs_f64();
-
     let results_identical = serial.db.observations() == parallel.db.observations();
-    (
+    Ok((
         Comparison {
             serial_s,
             parallel_s,
@@ -86,21 +87,18 @@ fn compare(
             results_identical,
         },
         parallel,
-    )
+    ))
 }
 
-fn main() {
-    pstack_analyze::startup_gate();
+/// Run both variants, recording the tuner spans into `trace`.
+///
+/// # Errors
+/// Propagates a [`TuneError`] from either driver.
+pub fn run(trace: &Arc<TraceCollector>) -> Result<ParallelBenchResult, TuneError> {
     let cotune = HypreCoTune::new(Objective::MinTime);
-    let ((compute_only, _), (plopper, report)) =
-        pstack_bench::traced("bench_parallel_tuner", |tc| {
-            let compute = pstack_bench::timed("compute_only", || compare(&cotune, None, tc));
-            let plopper =
-                pstack_bench::timed("plopper", || compare(&cotune, Some(LAUNCH_LATENCY), tc));
-            (compute, plopper)
-        });
-
-    let r = ParallelBenchResult {
+    let (compute_only, _) = compare(&cotune, None, trace)?;
+    let (plopper, report) = compare(&cotune, Some(LAUNCH_LATENCY), trace)?;
+    Ok(ParallelBenchResult {
         max_evals: MAX_EVALS,
         seed: SEED,
         workers: WORKERS,
@@ -111,8 +109,12 @@ fn main() {
         compute_only,
         evals: report.evals,
         best_objective: report.best_objective,
-    };
-    let rendered = format!(
+    })
+}
+
+/// The serial-vs-parallel table.
+pub fn render(r: &ParallelBenchResult) -> String {
+    format!(
         "PARALLEL BATCH TUNER: {evals} evals over the Hypre co-tune space (seed {seed}, {workers} workers, {cores} host core(s))\n\
          evaluator                    |  serial_s | parallel_s | speedup | identical\n\
          plopper (sim + {lat} ms launch) | {ps:>9.2} | {pp:>10.2} | {px:>6.2}x | {pi}\n\
@@ -130,10 +132,13 @@ fn main() {
         cp = r.compute_only.parallel_s,
         cx = r.compute_only.speedup,
         ci = r.compute_only.results_identical,
-    );
-    pstack_bench::emit("bench_parallel_tuner", &rendered, &r);
-    assert!(
+    )
+}
+
+/// Parallel runs reproduce the serial observations exactly.
+pub fn check(r: &ParallelBenchResult) -> Result<(), String> {
+    crate::ensure(
         r.plopper.results_identical && r.compute_only.results_identical,
-        "parallel run diverged from serial"
-    );
+        || "parallel run diverged from serial".to_string(),
+    )
 }

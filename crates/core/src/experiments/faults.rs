@@ -116,8 +116,9 @@ fn tune_under(
 ///
 /// # Errors
 /// Propagates the first [`TuneError`] any arm's resilient run surfaces
-/// (e.g. a fault budget hostile enough to abandon the run), so bench bins
-/// can exit nonzero instead of shipping a half-regenerated artifact.
+/// (e.g. a fault budget hostile enough to abandon the run), so
+/// `regenerate_all` can exit nonzero instead of shipping a half-regenerated
+/// artifact.
 pub fn run(max_evals: usize, seed: u64) -> Result<FaultsResult, TuneError> {
     let ct = KernelCoTune::new(Objective::MinEdp);
     let space = ct.space();

@@ -301,18 +301,6 @@ pub fn run_grid(plans: &[FleetFaultPlan], tunings: &[TuningLevel]) -> Vec<ChaosR
     rows
 }
 
-/// The shipped grid: {none, node MTBF, mixed} × {NodeOnly, EndToEnd}.
-pub fn shipped_grid() -> Vec<ChaosResult> {
-    run_grid(
-        &[
-            FleetFaultPlan::none(),
-            FleetFaultPlan::node_mtbf_only(),
-            FleetFaultPlan::mixed(),
-        ],
-        &[TuningLevel::NodeOnly, TuningLevel::EndToEnd],
-    )
-}
-
 /// Checkpointed-supervisor equivalence: the same chaos cell driven by a
 /// [`FleetSupervisor`] under rolling kills must land on the same fleet
 /// fingerprint as an unkilled supervised run.
@@ -497,7 +485,7 @@ mod tests {
             &[FleetFaultPlan::none()],
             &[TuningLevel::NodeOnly, TuningLevel::EndToEnd],
         );
-        // Full-size cells here (the grid is what the bench bin ships), so
+        // Full-size cells here (the grid is what `bench_fleetfaults` ships), so
         // just check shape and rendering, not timing.
         assert_eq!(rows.len(), 2);
         let table = render(&rows);

@@ -131,23 +131,23 @@ struct ArmBudget {
 
 /// Run one arm: donor feeds the store, then cold vs warmed race to the
 /// within-band target.
-fn arm_row(
-    arm: &str,
-    app: &str,
-    objective: &str,
-    space: ParamSpace,
-    evaluate: impl Fn(&ParamSpace, &Config) -> Evaluation + Sync,
-    budget: ArmBudget,
-) -> Result<HistoryArmRow, TuneError> {
+fn arm_row(arm: &Arm, budget: ArmBudget) -> Result<HistoryArmRow, TuneError> {
     let ArmBudget {
         max_evals,
         donor_evals,
         warm_k,
         seed,
     } = budget;
-    let scratch = ScratchDir::new(&format!("e9-{arm}"));
+    let Arm {
+        name,
+        app,
+        objective,
+        space,
+        evaluate,
+    } = arm;
+    let scratch = ScratchDir::new(&format!("e9-{name}"));
     let store = HistoryStore::open(scratch.path().join("store")).map_err(history_error)?;
-    let key = history_key(&space, app, objective);
+    let key = history_key(space, app, objective);
 
     let donor = Tuner::new(space.clone())
         .max_evals(donor_evals)
@@ -174,7 +174,7 @@ fn arm_row(
     let cold_to = fresh_evals_to_target(&cold, best_objective, TARGET_FACTOR);
     let warmed_to = fresh_evals_to_target(&warmed, best_objective, TARGET_FACTOR);
     Ok(HistoryArmRow {
-        arm: arm.to_string(),
+        arm: name.to_string(),
         app: app.to_string(),
         objective: objective.to_string(),
         space_fp: key.space.clone(),
@@ -190,7 +190,48 @@ fn arm_row(
     })
 }
 
-/// Run both arms.
+/// A full-stack evaluator over an arm's space.
+pub type ArmEvaluator = dyn Fn(&ParamSpace, &Config) -> Evaluation + Sync;
+
+/// One co-tuning arm: the history key's application and objective labels
+/// and the space the campaigns tune, with its evaluator.
+pub struct Arm {
+    /// Arm name: `uc1` (Hypre co-tune) or `uc3` (kernel co-tune).
+    pub name: &'static str,
+    /// Application label of the history key.
+    pub app: &'static str,
+    /// Objective label of the history key.
+    pub objective: &'static str,
+    /// The co-tuning space.
+    pub space: ParamSpace,
+    /// The full-stack evaluator over `space`.
+    pub evaluate: Box<ArmEvaluator>,
+}
+
+/// The arms [`run`] iterates, in order; `pstack-analyze` declares their
+/// history keys from this list.
+pub fn arms() -> Vec<Arm> {
+    let hypre = HypreCoTune::new(Objective::MinEdp);
+    let kernel = KernelCoTune::new(Objective::MinEnergy);
+    vec![
+        Arm {
+            name: "uc1",
+            app: "hypre",
+            objective: "min-edp",
+            space: hypre.space(),
+            evaluate: Box::new(move |s, c| hypre.evaluate(s, c)),
+        },
+        Arm {
+            name: "uc3",
+            app: "kernel",
+            objective: "min-energy",
+            space: kernel.space(),
+            evaluate: Box::new(move |s, c| kernel.evaluate(s, c)),
+        },
+    ]
+}
+
+/// Run every arm of [`arms`].
 ///
 /// # Errors
 /// Propagates any [`TuneError`] a campaign surfaces (store failures arrive
@@ -207,26 +248,10 @@ pub fn run(
         warm_k,
         seed,
     };
-    let hypre = HypreCoTune::new(Objective::MinEdp);
-    let kernel = KernelCoTune::new(Objective::MinEnergy);
-    let rows = vec![
-        arm_row(
-            "uc1",
-            "hypre",
-            "min-edp",
-            hypre.space(),
-            |s: &ParamSpace, c: &Config| hypre.evaluate(s, c),
-            budget,
-        )?,
-        arm_row(
-            "uc3",
-            "kernel",
-            "min-energy",
-            kernel.space(),
-            |s: &ParamSpace, c: &Config| kernel.evaluate(s, c),
-            budget,
-        )?,
-    ];
+    let rows = arms()
+        .iter()
+        .map(|arm| arm_row(arm, budget))
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(HistoryResult {
         max_evals,
         donor_evals,

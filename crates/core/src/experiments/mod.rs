@@ -136,108 +136,9 @@ pub fn manifest() -> Vec<ExperimentInfo> {
     ]
 }
 
-/// One bench-binary registration: what the binary writes under `results/`
-/// and whether it registers a trace exporter. `pstack-analyze`'s PSA014
-/// checks the pairing (every JSON-writing bin must export a trace), so keep
-/// this in sync with `pstack-bench/src/bin/`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArtifactInfo {
-    /// Binary name under `pstack-bench/src/bin/`.
-    pub bin: &'static str,
-    /// Whether the binary writes a `results/<name>.json` artifact.
-    pub writes_json: bool,
-    /// Whether the binary exports a `results/trace_<name>.json` trace
-    /// (Chrome `trace_event` format, via `pstack_bench::traced`).
-    pub trace_exporter: bool,
-    /// Whether the binary times evaluations through a batch-capable
-    /// evaluator (the [`EvalArena`](crate::EvalArena) fast path).
-    pub batch_evaluator: bool,
-    /// Whether the binary asserts scalar equivalence for its batch path
-    /// (bit-identical on the exact lane, bounded error on coarse lanes).
-    /// `pstack-analyze`'s PSA016 requires this for every `batch_evaluator`
-    /// registration: a fast path benchmarked without an oracle check could
-    /// silently drift from the model it claims to accelerate.
-    pub scalar_equivalence: bool,
-}
-
-impl ArtifactInfo {
-    const fn traced(bin: &'static str) -> Self {
-        ArtifactInfo {
-            bin,
-            writes_json: true,
-            trace_exporter: true,
-            batch_evaluator: false,
-            scalar_equivalence: false,
-        }
-    }
-
-    /// A traced artifact whose lanes run through a batch-capable evaluator
-    /// and declare the scalar-equivalence checks PSA016 enforces.
-    const fn batched(bin: &'static str) -> Self {
-        ArtifactInfo {
-            bin,
-            writes_json: true,
-            trace_exporter: true,
-            batch_evaluator: true,
-            scalar_equivalence: true,
-        }
-    }
-}
-
-/// The bench-binary manifest, one entry per bin under
-/// `pstack-bench/src/bin/`.
-pub fn artifact_registry() -> Vec<ArtifactInfo> {
-    vec![
-        ArtifactInfo::traced("ablations"),
-        ArtifactInfo {
-            bin: "bench_diff",
-            writes_json: false,
-            trace_exporter: false,
-            batch_evaluator: false,
-            scalar_equivalence: false,
-        },
-        ArtifactInfo::batched("bench_evalthroughput"),
-        ArtifactInfo::traced("bench_fleet"),
-        ArtifactInfo::traced("bench_fleetfaults"),
-        ArtifactInfo::traced("bench_history"),
-        ArtifactInfo::traced("bench_lockorder"),
-        ArtifactInfo::traced("bench_parallel_tuner"),
-        ArtifactInfo::traced("ext_emergency"),
-        ArtifactInfo::traced("ext_faults"),
-        ArtifactInfo::traced("ext_new_runtimes"),
-        ArtifactInfo::traced("ext_resume"),
-        ArtifactInfo::traced("ext_thermal"),
-        ArtifactInfo::traced("fig1_end_to_end"),
-        ArtifactInfo::traced("fig2_interactions"),
-        ArtifactInfo::traced("fig3_geopm_policy"),
-        ArtifactInfo::traced("fig4_ytopt_loop"),
-        ArtifactInfo::traced("fig5_feti_regions"),
-        ArtifactInfo::traced("fig6_power_corridor"),
-        ArtifactInfo::traced("regenerate_all"),
-        ArtifactInfo::traced("table1_registry"),
-        ArtifactInfo::traced("table2_components"),
-        ArtifactInfo::traced("table3_vocabulary"),
-        ArtifactInfo::traced("uc1_hypre_cotune"),
-        ArtifactInfo::traced("uc3_cross_layer_ytopt"),
-        ArtifactInfo::traced("uc6_countdown"),
-        ArtifactInfo::traced("uc7_two_runtimes"),
-    ]
-}
-
 #[cfg(test)]
 mod manifest_tests {
     use super::*;
-
-    #[test]
-    fn artifact_registry_names_unique_and_sorted() {
-        let reg = artifact_registry();
-        assert_eq!(reg.len(), 27);
-        let names: Vec<&str> = reg.iter().map(|a| a.bin).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(names, sorted, "bins must be unique and listed in order");
-    }
 
     #[test]
     fn manifest_names_unique_and_complete() {

@@ -123,11 +123,6 @@ impl Scenario {
     }
 
     /// Generate the job mix and run the scenario to completion.
-    ///
-    /// The first call in a process runs the layer-invariant gate
-    /// ([`crate::validate::enforce`]): a configuration that violates a
-    /// declared physical invariant panics here instead of simulating
-    /// garbage (set `PSTACK_LINT_SKIP=1` to override).
     pub fn run(&self) -> ScenarioResult {
         self.run_inner(None)
     }
@@ -146,7 +141,6 @@ impl Scenario {
     }
 
     fn run_inner(&self, trace: Option<&TraceCollector>) -> ScenarioResult {
-        crate::validate::enforce();
         let mut root = trace.map(|t| {
             let mut s = t.span("scenario.run");
             s.attr("tuning", format!("{:?}", self.tuning));

@@ -35,7 +35,6 @@ pub mod framework;
 pub mod interfaces;
 pub mod registry;
 pub mod translate;
-pub mod validate;
 pub mod vocab;
 
 pub use arena::EvalArena;

@@ -180,11 +180,6 @@ impl CrashyAgent {
             log: FaultLog::new(),
         }
     }
-
-    /// Whether the agent is currently down.
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
-    }
 }
 
 impl RuntimeAgent for CrashyAgent {

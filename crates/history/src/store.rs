@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pstack_ckpt::{read_wal_from, CkptError, WalWriter};
-use pstack_sync::{sites, Ordering, SyncAtomicUsize, SyncMutex};
+use pstack_sync::{sites, SyncMutex};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::key::{config_fingerprint, HistoryKey, HISTORY_FORMAT_VERSION};
@@ -149,15 +149,10 @@ pub struct CompactionReport {
     pub shards_rewritten: usize,
 }
 
-// Leaf lock: serializes every append/compaction in this process so shard
-// logs only ever see one in-process writer; the advisory lock file taken
+// Outermost history lock: serializes every append/compaction in this
+// process so shard logs only ever see one in-process writer; the advisory lock file taken
 // under it extends the same exclusion across processes.
 static APPEND_GATE: SyncMutex<()> = SyncMutex::new(sites::HISTORY_SHARD, ());
-
-// Relaxed: a monotone count of appended records for diagnostics; readers
-// observe it after joining writer threads, so the join is the
-// synchronization point and no ordering stronger than Relaxed adds anything.
-static APPEND_COUNT: SyncAtomicUsize = SyncAtomicUsize::new(sites::HISTORY_APPENDS, 0);
 
 /// How long a `shard-NN.lock` may sit unchanged before it is presumed to
 /// belong to a crashed writer and broken.
@@ -435,11 +430,6 @@ impl HistoryStore {
         self.shard_count
     }
 
-    /// Records appended through this process (all stores), for diagnostics.
-    pub fn process_appended() -> usize {
-        APPEND_COUNT.load(Ordering::Relaxed)
-    }
-
     fn shard_path(&self, shard: usize) -> PathBuf {
         self.root.join(format!("shard-{shard:02}.wal"))
     }
@@ -505,7 +495,6 @@ impl HistoryStore {
             })?;
         }
         writer.sync()?;
-        APPEND_COUNT.fetch_add(records.len(), Ordering::Relaxed);
         Ok(records.len())
     }
 

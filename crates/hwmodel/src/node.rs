@@ -7,7 +7,7 @@ use crate::phase::PhaseMix;
 use crate::pstate::DutyCycle;
 use crate::variation::{VariationFactors, VariationModel};
 use pstack_sim::{SeedTree, SimDuration, SimTime};
-use pstack_telemetry::{CounterKind, CounterSnapshot};
+use pstack_telemetry::CounterKind;
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a node within the cluster.
@@ -230,18 +230,6 @@ impl Node {
     /// Sum of a counter across packages.
     pub fn counter(&self, kind: CounterKind) -> f64 {
         self.packages.iter().map(|p| p.counters().get(kind)).sum()
-    }
-
-    /// Snapshot of summed counters across packages.
-    pub fn counters_snapshot(&self) -> CounterSnapshot {
-        // Sum package banks into a fresh bank, then snapshot it.
-        let mut bank = pstack_telemetry::CounterBank::new();
-        for p in &self.packages {
-            for kind in pstack_telemetry::counters::ALL_COUNTERS {
-                bank.add(kind, p.counters().get(kind));
-            }
-        }
-        bank.snapshot()
     }
 
     /// Effective frequency (mean across packages), GHz.

@@ -422,12 +422,6 @@ impl Scheduler {
         self.telemetry_dropouts
     }
 
-    /// Whether the fleet aggregation tree is currently dropping this
-    /// scheduler's samples.
-    pub fn telemetry_suppressed(&self) -> bool {
-        self.now < self.telemetry_blackout_until
-    }
-
     /// RM out-of-band cap writes dropped on stuck actuators so far.
     pub fn stuck_cap_drops(&self) -> u64 {
         self.stuck_cap_drops

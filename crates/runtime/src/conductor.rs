@@ -95,11 +95,6 @@ impl Conductor {
         self.chosen_ghz
     }
 
-    /// Whether exploration has finished.
-    pub fn is_steady(&self) -> bool {
-        self.stage == Stage::Steady
-    }
-
     fn finish_exploration(&mut self, ctl: &mut ArbitratedNodes<'_>) {
         // Pick the candidate with the best work per joule (power efficiency
         // under the budget is what §3.2.1 optimizes: IPC/watt ≈ work/J here).

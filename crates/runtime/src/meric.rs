@@ -19,17 +19,6 @@ use pstack_sim::SimTime;
 use pstack_telemetry::PowerSampler;
 use std::collections::HashMap;
 
-/// The per-region tuning objective (READEX supports several; EDP is the
-/// default because a pure energy objective degenerates to crawling on
-/// compute-bound regions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegionObjective {
-    /// Minimize energy per visit.
-    Energy,
-    /// Minimize energy × duration per visit.
-    Edp,
-}
-
 /// A hardware configuration candidate for one region.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegionConfig {
@@ -81,8 +70,6 @@ pub struct Meric {
     /// MPI runtime (COUNTDOWN) — the §3.2.7 "communication layer" that keeps
     /// both tools aware of which one is in charge of which regions.
     delegate_comm: bool,
-    /// The per-region objective.
-    objective: RegionObjective,
 }
 
 impl Meric {
@@ -123,14 +110,7 @@ impl Meric {
                 uncore_idx: 8,
             },
             delegate_comm: false,
-            objective: RegionObjective::Edp,
         }
-    }
-
-    /// Select the per-region objective (default: EDP).
-    pub fn with_objective(mut self, objective: RegionObjective) -> Self {
-        self.objective = objective;
-        self
     }
 
     /// Delegate communication-dominant regions to a co-resident MPI runtime:
@@ -182,15 +162,11 @@ impl Meric {
             if next < self.candidates.len() {
                 state.active = next;
             } else {
-                let objective = self.objective;
+                // Energy × duration per visit (EDP): a pure energy
+                // objective degenerates to crawling on compute-bound regions.
                 let score = |i: usize| {
                     let v = state.visits[i].max(1) as f64;
-                    let e = state.energy[i] / v;
-                    let d = state.duration_s[i] / v;
-                    match objective {
-                        RegionObjective::Energy => e,
-                        RegionObjective::Edp => e * d,
-                    }
+                    (state.energy[i] / v) * (state.duration_s[i] / v)
                 };
                 let best = (0..state.energy.len())
                     .filter(|&i| state.visits[i] > 0)

@@ -33,9 +33,9 @@
 //!   export the observed lock-order graph (the `results/lockorder.json`
 //!   artifact).
 //!
-//! The declared lock hierarchy lives in [`sites`]; `pstack-analyze`'s
-//! PSA017 checks the `FrameworkModel`'s hierarchy table covers every site
-//! declared here and stays acyclic.
+//! The declared lock hierarchy lives in [`sites`]: every site carries its
+//! rank and the sites it may acquire while held. `pstack-analyze`'s PSA017
+//! checks that relation is rank-consistent and acyclic.
 
 // This crate is the one place raw std::sync primitives are allowed in
 // library code; the clippy disallowed-types and disallowed-methods entries

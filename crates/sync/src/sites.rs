@@ -1,12 +1,14 @@
 //! The canonical registry of synchronization sites.
 //!
 //! Every [`SyncMutex`](crate::SyncMutex)/atomic in workspace library code
-//! is constructed with one of these labels, and the registry is the static
-//! source of truth `pstack-analyze`'s PSA017 checks the declared lock
-//! hierarchy against: a site added here without a hierarchy row (or vice
-//! versa) fails the lint. The schedule explorer additionally asserts at
-//! runtime that every *observed* site is declared here, so the registry
-//! cannot silently drift from reality.
+//! is constructed with one of these labels. Each entry also declares its
+//! place in the lock hierarchy — a [`SiteDecl::rank`] and the sites it
+//! [`SiteDecl::may_acquire`] while held — so a site cannot exist without
+//! one. `pstack-analyze`'s PSA017 checks the declared relation is a
+//! rank-consistent DAG; at runtime the schedule explorer asserts that every
+//! *observed* site is declared here, and the concurrency audit holds every
+//! observed edge to the declared ranks, so the registry cannot silently
+//! drift from reality.
 //!
 //! Memory-ordering rationale for atomic sites lives on each
 //! [`SiteDecl::ordering`] entry (and as a comment at the construction
@@ -40,6 +42,11 @@ pub struct SiteDecl {
     pub kind: SiteKind,
     /// Owning crate (for diagnostics).
     pub owner: &'static str,
+    /// Hierarchy rank: a site may only acquire sites of *strictly greater*
+    /// rank while held (outer locks rank lower than inner locks).
+    pub rank: u32,
+    /// Sites this one is permitted to acquire while held.
+    pub may_acquire: &'static [&'static str],
     /// For atomics: the memory-ordering choice and why it is sufficient.
     /// For locks: what the critical section protects.
     pub ordering: &'static str,
@@ -62,8 +69,6 @@ pub const CKPT_SCRATCH: &str = "ckpt.scratch_counter";
 pub const FAULTS_KILLS: &str = "faults.supervisor.kills";
 /// The slow-evaluation counter in `pstack_faults::FaultyEvaluator`.
 pub const FAULTS_SLOWDOWNS: &str = "faults.evaluator.slowdowns";
-/// The process-wide appended-record counter in `pstack-history`.
-pub const HISTORY_APPENDS: &str = "history.appends";
 /// One shard's decoded view in a `pstack_history::HistoryStore` handle.
 pub const HISTORY_CACHE: &str = "history.cache";
 /// The in-process append/compaction gate in `pstack_history::HistoryStore`.
@@ -73,13 +78,19 @@ pub const RM_EVENTS: &str = "rm.events";
 /// The site aggregation tree in `pstack_rm::fleet::EnclaveSet`.
 pub const RM_SITE_TREE: &str = "rm.site_tree";
 
-/// Every declared site, in stable label order.
+/// Every declared site, in stable label order. The permitted while-held
+/// acquisitions are worker-pool slot → trace ring (a worker may flush a
+/// span while publishing its result) and history shard gate → shard view
+/// (an append absorbs other writers' frames before writing); every other
+/// site is a leaf.
 pub fn all() -> &'static [SiteDecl] {
     &[
         SiteDecl {
             label: POOL_CURSOR,
             kind: SiteKind::Atomic,
             owner: "pstack-autotune",
+            rank: 10,
+            may_acquire: &[],
             ordering: "Relaxed fetch_add: a pure index dispenser. Each index is claimed by \
                        exactly one worker because fetch_add is atomic regardless of ordering; \
                        the claimed slot's *contents* are published by the scoped-thread join, \
@@ -89,6 +100,8 @@ pub fn all() -> &'static [SiteDecl] {
             label: POOL_SLOT,
             kind: SiteKind::Mutex,
             owner: "pstack-autotune",
+            rank: 20,
+            may_acquire: &[TRACE_RING],
             ordering: "Protects one evaluation result. Held only for the final store; the \
                        read side uses get_mut after the scope joins, so contention is \
                        impossible by construction and poisoning is recovered.",
@@ -97,6 +110,8 @@ pub fn all() -> &'static [SiteDecl] {
             label: CKPT_SCRATCH,
             kind: SiteKind::Atomic,
             owner: "pstack-ckpt",
+            rank: 40,
+            may_acquire: &[],
             ordering: "Relaxed fetch_add: a process-unique directory suffix. Uniqueness \
                        needs atomicity only; no other memory is published through it.",
         },
@@ -104,6 +119,8 @@ pub fn all() -> &'static [SiteDecl] {
             label: FAULTS_SLOWDOWNS,
             kind: SiteKind::Atomic,
             owner: "pstack-faults",
+            rank: 41,
+            may_acquire: &[],
             ordering: "Relaxed fetch_add/load: a monotone statistics counter read after \
                        the evaluation pool has joined (the join is the synchronization \
                        point), so no ordering stronger than Relaxed adds anything.",
@@ -112,6 +129,8 @@ pub fn all() -> &'static [SiteDecl] {
             label: FAULTS_KILLS,
             kind: SiteKind::Atomic,
             owner: "pstack-faults",
+            rank: 42,
+            may_acquire: &[],
             ordering: "Relaxed load + fetch_add (downgraded from SeqCst): the interrupt \
                        hook runs only on the driver thread, one incarnation at a time, so \
                        the check-then-increment is single-threaded in practice; the \
@@ -119,17 +138,11 @@ pub fn all() -> &'static [SiteDecl] {
                        across adversarial interleavings.",
         },
         SiteDecl {
-            label: HISTORY_APPENDS,
-            kind: SiteKind::Atomic,
-            owner: "pstack-history",
-            ordering: "Relaxed fetch_add/load: a monotone diagnostics counter of appended \
-                       records. Readers only consult it after joining the writer threads \
-                       (the join is the synchronization point), so Relaxed suffices.",
-        },
-        SiteDecl {
             label: HISTORY_CACHE,
             kind: SiteKind::Mutex,
             owner: "pstack-history",
+            rank: 46,
+            may_acquire: &[],
             ordering: "Protects one shard's decoded view (frame checksums, decoded records, \
                        best-per-config index) shared by a store handle and its clones. Held \
                        for one checksum walk of the shard file plus the query or refresh \
@@ -140,17 +153,20 @@ pub fn all() -> &'static [SiteDecl] {
             label: HISTORY_SHARD,
             kind: SiteKind::Mutex,
             owner: "pstack-history",
+            rank: 45,
+            may_acquire: &[HISTORY_CACHE],
             ordering: "Serializes every store append/compaction in this process so a shard \
                        log sees one in-process writer at a time. While held it takes the \
                        cross-process advisory lock file, the handle's history.cache view \
-                       lock (to absorb other writers' frames and find the tail) and bumps \
-                       the history.appends diagnostics counter, both declared ranked above \
-                       it; no other in-process primitive is acquired under it.",
+                       lock (to absorb other writers' frames and find the tail), declared \
+                       ranked above it; no other in-process primitive is acquired under it.",
         },
         SiteDecl {
             label: RM_EVENTS,
             kind: SiteKind::Atomic,
             owner: "pstack-rm",
+            rank: 47,
+            may_acquire: &[],
             ordering: "Relaxed fetch_add/load: a monotone diagnostics counter of scheduler \
                        events processed across an enclave drain. Enclaves drain one at a \
                        time on the driver thread and readers consult the total only after \
@@ -160,6 +176,8 @@ pub fn all() -> &'static [SiteDecl] {
             label: RM_SITE_TREE,
             kind: SiteKind::Mutex,
             owner: "pstack-rm",
+            rank: 48,
+            may_acquire: &[],
             ordering: "Protects the GEOPM-style site aggregation tree while per-enclave \
                        metrics are folded up to the root. Leaf lock: nothing else is \
                        acquired while it is held.",
@@ -168,6 +186,8 @@ pub fn all() -> &'static [SiteDecl] {
             label: TRACE_RING,
             kind: SiteKind::Mutex,
             owner: "pstack-trace",
+            rank: 50,
+            may_acquire: &[],
             ordering: "Protects the bounded span ring and its drop counter. Leaf lock: \
                        nothing else is ever acquired while it is held.",
         },
@@ -175,6 +195,8 @@ pub fn all() -> &'static [SiteDecl] {
             label: TRACE_SPAN_ID,
             kind: SiteKind::Atomic,
             owner: "pstack-trace",
+            rank: 51,
+            may_acquire: &[],
             ordering: "Relaxed fetch_add: span-id dispenser. Ids must be unique, not \
                        ordered; snapshot ordering is reconstructed from (start_ns, id).",
         },
@@ -182,6 +204,8 @@ pub fn all() -> &'static [SiteDecl] {
             label: TRACE_TID,
             kind: SiteKind::Atomic,
             owner: "pstack-trace",
+            rank: 52,
+            may_acquire: &[],
             ordering: "Relaxed fetch_add: thread-id dispenser, same argument as the \
                        span-id site — uniqueness is the whole contract.",
         },

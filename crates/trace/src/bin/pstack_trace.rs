@@ -6,13 +6,11 @@
 //! pstack_trace diff    <trace-a> <trace-b>     # profile delta a -> b
 //! ```
 //!
-//! Accepts both trace formats the framework writes: JSON Lines
-//! (`to_jsonl`) and Chrome `trace_event` JSON (`to_chrome`, the
-//! `results/trace_*.json` artifacts); the format is sniffed from the first
-//! bytes. Exits non-zero with a one-line error on unreadable or foreign
-//! files.
+//! Reads the Chrome `trace_event` JSON the framework writes (`to_chrome`,
+//! the `results/trace_*.json` artifacts). Exits non-zero with a one-line
+//! error on unreadable or foreign files.
 
-use pstack_trace::{from_any, render_tree, ProfileSummary, Trace};
+use pstack_trace::{from_chrome, render_tree, ProfileSummary, Trace};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: pstack_trace <render|summary|diff> <trace-file> [trace-file-b]\n\
@@ -22,7 +20,7 @@ const USAGE: &str = "usage: pstack_trace <render|summary|diff> <trace-file> [tra
 
 fn load(path: &str) -> Result<Trace, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    from_any(&text).map_err(|e| format!("{path}: {e}"))
+    from_chrome(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn run(args: &[String]) -> Result<String, String> {

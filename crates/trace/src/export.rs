@@ -1,22 +1,17 @@
-//! Trace exporters: human-readable tree, JSON Lines, Chrome `trace_event`.
+//! Trace exporters: human-readable tree and Chrome `trace_event`.
 //!
 //! - [`render_tree`] prints the span hierarchy with durations and
 //!   attributes — the quick look.
-//! - [`to_jsonl`] / [`from_jsonl`] is the lossless interchange format: a
-//!   header line (format version + drop accounting) followed by one span
-//!   object per line.
-//! - [`to_chrome`] / [`from_chrome`] is the Chrome `trace_event` "X" (complete
-//!   event) encoding: the file written to `results/trace_*.json` opens
-//!   directly in `chrome://tracing` or <https://ui.perfetto.dev>. Exact span
-//!   fields ride along in `args`, so this format round-trips losslessly too.
+//! - [`to_chrome`] / [`from_chrome`] is the one file format: Chrome
+//!   `trace_event` "X" (complete event) encoding. The files written to
+//!   `results/trace_*.json` open directly in `chrome://tracing` or
+//!   <https://ui.perfetto.dev>, and the exact span fields ride along in
+//!   `args`, so the format round-trips losslessly.
 
 use crate::collector::Trace;
 use crate::json::{parse, Json};
 use crate::span::{AttrValue, Event, Span};
 use std::fmt::Write as _;
-
-/// JSONL header version; bumped on breaking format changes.
-pub const JSONL_VERSION: i64 = 1;
 
 // ---------------------------------------------------------------- tree ----
 
@@ -78,7 +73,7 @@ fn render_span(trace: &Trace, span: &Span, depth: usize, out: &mut String) {
     }
 }
 
-// --------------------------------------------------------------- jsonl ----
+// -------------------------------------------------------------- chrome ----
 
 fn attrs_to_json(attrs: &[(String, AttrValue)]) -> Json {
     Json::Obj(
@@ -118,32 +113,6 @@ fn attrs_from_json(value: &Json) -> Result<Vec<(String, AttrValue)>, String> {
         .collect()
 }
 
-fn span_to_json(span: &Span) -> Json {
-    let events = Json::Arr(
-        span.events
-            .iter()
-            .map(|e| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(e.name.clone())),
-                    ("at_ns".into(), json_u64(e.at_ns)),
-                    ("attrs".into(), attrs_to_json(&e.attrs)),
-                ])
-            })
-            .collect(),
-    );
-    Json::Obj(vec![
-        ("id".into(), json_u64(span.id)),
-        ("parent".into(), span.parent.map_or(Json::Null, json_u64)),
-        ("name".into(), Json::Str(span.name.clone())),
-        ("tid".into(), json_u64(span.tid)),
-        ("start_ns".into(), json_u64(span.start_ns)),
-        ("dur_ns".into(), json_u64(span.dur_ns)),
-        ("wall_start_us".into(), json_u64(span.wall_start_us)),
-        ("attrs".into(), attrs_to_json(&span.attrs)),
-        ("events".into(), events),
-    ])
-}
-
 fn json_u64(v: u64) -> Json {
     Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
 }
@@ -153,82 +122,6 @@ fn field_u64(obj: &Json, key: &str) -> Result<u64, String> {
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing or invalid field {key:?}"))
 }
-
-fn span_from_json(obj: &Json) -> Result<Span, String> {
-    let events = obj
-        .get("events")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[])
-        .iter()
-        .map(|e| {
-            Ok(Event {
-                name: e
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("event missing name")?
-                    .to_string(),
-                at_ns: field_u64(e, "at_ns")?,
-                attrs: attrs_from_json(e.get("attrs").unwrap_or(&Json::Obj(Vec::new())))?,
-            })
-        })
-        .collect::<Result<Vec<Event>, String>>()?;
-    Ok(Span {
-        id: field_u64(obj, "id")?,
-        parent: match obj.get("parent") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_u64().ok_or("invalid parent id")?),
-        },
-        name: obj
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("span missing name")?
-            .to_string(),
-        tid: field_u64(obj, "tid")?,
-        start_ns: field_u64(obj, "start_ns")?,
-        dur_ns: field_u64(obj, "dur_ns")?,
-        wall_start_us: field_u64(obj, "wall_start_us")?,
-        attrs: attrs_from_json(obj.get("attrs").unwrap_or(&Json::Obj(Vec::new())))?,
-        events,
-    })
-}
-
-/// Serialize a trace as JSON Lines: a header object, then one span per line.
-pub fn to_jsonl(trace: &Trace) -> String {
-    let mut out = Json::Obj(vec![
-        ("pstack_trace".into(), Json::Int(JSONL_VERSION)),
-        ("dropped".into(), json_u64(trace.dropped)),
-        ("spans".into(), json_u64(trace.len() as u64)),
-    ])
-    .to_string();
-    out.push('\n');
-    for span in &trace.spans {
-        out.push_str(&span_to_json(span).to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Parse a JSON Lines trace produced by [`to_jsonl`].
-pub fn from_jsonl(text: &str) -> Result<Trace, String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = parse(lines.next().ok_or("empty trace file")?)?;
-    let version = header
-        .get("pstack_trace")
-        .and_then(Json::as_i64)
-        .ok_or("not a pstack trace (missing header)")?;
-    if version != JSONL_VERSION {
-        return Err(format!("unsupported trace version {version}"));
-    }
-    let dropped = field_u64(&header, "dropped")?;
-    let mut spans = Vec::new();
-    for line in lines {
-        spans.push(span_from_json(&parse(line)?)?);
-    }
-    spans.sort_by_key(|s| (s.start_ns, s.id));
-    Ok(Trace { spans, dropped })
-}
-
-// -------------------------------------------------------------- chrome ----
 
 /// Serialize a trace in Chrome `trace_event` JSON (complete "X" events,
 /// timestamps in microseconds). Opens in `chrome://tracing` and Perfetto;
@@ -354,17 +247,6 @@ pub fn from_chrome(text: &str) -> Result<Trace, String> {
     Ok(Trace { spans, dropped })
 }
 
-/// Best-effort format sniffing: Chrome files are one JSON object starting
-/// with `{"traceEvents"`, JSONL files start with the header object.
-pub fn from_any(text: &str) -> Result<Trace, String> {
-    let head = text.trim_start();
-    if head.starts_with("{\"traceEvents\"") || head.starts_with('[') {
-        from_chrome(text)
-    } else {
-        from_jsonl(text)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,15 +269,6 @@ mod tests {
         let mut trace = collector.take();
         trace.dropped = 5; // exercise drop accounting through the codecs
         trace
-    }
-
-    #[test]
-    fn jsonl_round_trips_exactly() {
-        let trace = sample_trace();
-        let text = to_jsonl(&trace);
-        assert_eq!(text.lines().count(), 1 + trace.len());
-        let back = from_jsonl(&text).expect("parses");
-        assert_eq!(back, trace);
     }
 
     #[test]
@@ -426,13 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn from_any_sniffs_both_formats() {
-        let trace = sample_trace();
-        assert_eq!(from_any(&to_jsonl(&trace)).expect("jsonl"), trace);
-        assert_eq!(from_any(&to_chrome(&trace)).expect("chrome"), trace);
-    }
-
-    #[test]
     fn tree_render_shows_hierarchy_and_attrs() {
         let rendered = render_tree(&sample_trace());
         assert!(rendered.starts_with("trace: 2 spans (5 dropped)"));
@@ -453,9 +319,9 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_rejects_foreign_files() {
-        assert!(from_jsonl("").is_err());
-        assert!(from_jsonl("{\"not\":\"a trace\"}").is_err());
-        assert!(from_jsonl("{\"pstack_trace\":99,\"dropped\":0,\"spans\":0}").is_err());
+    fn chrome_rejects_foreign_files() {
+        assert!(from_chrome("").is_err());
+        assert!(from_chrome("{\"not\":\"a trace\"}").is_err());
+        assert!(from_chrome("{\"traceEvents\":[{\"ph\":\"X\",\"name\":\"x\"}]}").is_err());
     }
 }

@@ -12,8 +12,8 @@
 //!   monotonic + wall-clock timestamps, typed attributes;
 //! - [`TraceCollector`] — a bounded, lock-cheap ring-buffer sink; span
 //!   guards accumulate locally and flush with one lock at close;
-//! - [`export`] — human-readable tree ([`render_tree`]), lossless JSON
-//!   Lines ([`to_jsonl`]/[`from_jsonl`]), and Chrome `trace_event` JSON
+//! - [`export`] — human-readable tree ([`render_tree`]) and the one file
+//!   format, lossless Chrome `trace_event` JSON
 //!   ([`to_chrome`]/[`from_chrome`]) that opens in `chrome://tracing` or
 //!   Perfetto;
 //! - [`ProfileSummary`] / [`ProfileBuilder`] — per-stage count / total /
@@ -53,8 +53,6 @@ pub mod profile;
 pub mod span;
 
 pub use collector::{SpanGuard, Trace, TraceCollector};
-pub use export::{
-    from_any, from_chrome, from_jsonl, render_tree, to_chrome, to_jsonl, JSONL_VERSION,
-};
+pub use export::{from_chrome, render_tree, to_chrome};
 pub use profile::{ProfileBuilder, ProfileSummary, StageStats};
 pub use span::{hash64, AttrValue, Event, Span, SpanId};

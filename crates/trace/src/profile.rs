@@ -3,9 +3,8 @@
 //! [`ProfileBuilder`] accumulates per-stage duration samples plus cache and
 //! retry attribution while a driver runs; [`ProfileBuilder::finish`] folds
 //! them into a [`ProfileSummary`] (count / total / mean / p95 / max per
-//! stage). The summary is what `TuneReport` embeds, what the bench bins
-//! print, and what `pstack_trace summary`/`diff` compute from an exported
-//! trace file.
+//! stage). The summary is what `TuneReport` embeds and what
+//! `pstack_trace summary`/`diff` compute from an exported trace file.
 //!
 //! Determinism note: stage *counts* and cache/retry attribution are pure
 //! functions of the search trajectory, so they are invariant across worker

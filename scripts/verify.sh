@@ -12,9 +12,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# A fresh artifact directory for one stage, under target/: the bins a
-# stage runs write there, so a verify run never rewrites the committed
-# results/ (CI's artifacts job regenerates those itself).
+# A fresh artifact directory for one stage, under target/: the artifacts a
+# stage regenerates are written there, so a verify run never rewrites the
+# committed results/ (CI's artifacts job regenerates those itself).
 stage_results_dir() {
     rm -rf "target/$1"
     mkdir -p "target/$1"
@@ -56,7 +56,7 @@ stage_perf() {
     echo "== eval-throughput acceptance (batched fast path >= 10x, bit-identical) =="
     local out
     out=$(stage_results_dir perf)
-    POWERSTACK_RESULTS_DIR="$out" cargo run -q --release -p pstack-bench --bin bench_evalthroughput
+    POWERSTACK_RESULTS_DIR="$out" cargo run -q --release -p pstack-bench --bin regenerate_all -- bench_evalthroughput
 }
 
 stage_conc() {
@@ -64,7 +64,7 @@ stage_conc() {
     cargo test -q --test concurrency_audit
     local out
     out=$(stage_results_dir conc)
-    POWERSTACK_RESULTS_DIR="$out" cargo run -q --release -p pstack-bench --bin bench_lockorder
+    POWERSTACK_RESULTS_DIR="$out" cargo run -q --release -p pstack-bench --bin regenerate_all -- lockorder
     cargo run -q --release -p pstack-analyze --bin pstack_lint
 }
 
@@ -77,7 +77,7 @@ stage_history() {
     cargo test -q --test history_warm_golden
     local out
     out=$(stage_results_dir history)
-    POWERSTACK_RESULTS_DIR="$out" cargo run -q --release -p pstack-bench --bin bench_history
+    POWERSTACK_RESULTS_DIR="$out" cargo run -q --release -p pstack-bench --bin regenerate_all -- bench_history
 }
 
 stage_fleet() {
@@ -85,7 +85,7 @@ stage_fleet() {
     cargo test -q -p pstack-rm --test event_equivalence
     local out
     out=$(stage_results_dir fleet)
-    POWERSTACK_RESULTS_DIR="$out" cargo run -q --release -p pstack-bench --bin bench_fleet
+    POWERSTACK_RESULTS_DIR="$out" cargo run -q --release -p pstack-bench --bin regenerate_all -- bench_fleet
 }
 
 stage_chaosfleet() {
@@ -97,11 +97,11 @@ stage_chaosfleet() {
     local out
     out=$(stage_results_dir chaosfleet)
     POWERSTACK_RESULTS_DIR="$out" POWERSTACK_CHAOSFLEET_SMOKE=1 \
-        cargo run -q --release -p pstack-bench --bin bench_fleetfaults
+        cargo run -q --release -p pstack-bench --bin regenerate_all -- bench_fleetfaults
     # The gate must demonstrably trip: an injected regression exits nonzero.
     if POWERSTACK_RESULTS_DIR="$out" POWERSTACK_CHAOSFLEET_SMOKE=1 \
         POWERSTACK_FLEETFAULTS_INJECT_REGRESSION=1 \
-        cargo run -q --release -p pstack-bench --bin bench_fleetfaults >/dev/null 2>&1; then
+        cargo run -q --release -p pstack-bench --bin regenerate_all -- bench_fleetfaults >/dev/null 2>&1; then
         echo "chaosfleet: injected regression did NOT trip the gate" >&2
         exit 1
     fi
@@ -112,9 +112,8 @@ stage_perfgate() {
     echo "== perf-regression gate (fresh artifacts vs committed results/) =="
     local fresh
     fresh=$(stage_results_dir perfgate)
-    POWERSTACK_RESULTS_DIR="$fresh" cargo run -q --release -p pstack-bench --bin bench_evalthroughput
-    POWERSTACK_RESULTS_DIR="$fresh" cargo run -q --release -p pstack-bench --bin ext_thermal
-    POWERSTACK_RESULTS_DIR="$fresh" cargo run -q --release -p pstack-bench --bin ext_new_runtimes
+    POWERSTACK_RESULTS_DIR="$fresh" cargo run -q --release -p pstack-bench --bin regenerate_all -- \
+        bench_evalthroughput ext_thermal ext_new_runtimes
     cargo run -q --release -p pstack-bench --bin bench_diff -- results "$fresh" \
         --require bench_evalthroughput --require ext_thermal --require ext_new_runtimes
 }

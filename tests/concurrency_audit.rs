@@ -215,8 +215,9 @@ fn trace_ring_overflow_accounting_is_schedule_invariant() {
 #[test]
 fn observed_graph_edges_respect_the_declared_hierarchy() {
     // Run the richest driver (parallel + tracing) once under a compact
-    // grid, then hold every observed edge to the PSA017 hierarchy: an edge
-    // outer → inner is only legal if rank(outer) < rank(inner).
+    // grid, then hold every observed edge to the ranks the site registry
+    // declares (the hierarchy PSA017 checks): an edge outer → inner is only
+    // legal if rank(outer) < rank(inner).
     let grid = SeedGrid::compact(4, 8);
     let collector = Arc::new(TraceCollector::new());
     let out = explore(&grid, |workers| {
@@ -229,13 +230,12 @@ fn observed_graph_edges_respect_the_declared_hierarchy() {
         serde_json::to_string(&report).expect("reports serialize")
     });
     assert_clean(&out, "hierarchy-audit");
-    let hierarchy = powerstack::analyze::FrameworkModel::shipped_lock_hierarchy();
     let rank = |site: &str| {
-        hierarchy
+        sites::all()
             .iter()
-            .find(|d| d.site == site)
+            .find(|d| d.label == site)
             .map(|d| d.rank)
-            .unwrap_or_else(|| panic!("observed site {site} missing from hierarchy"))
+            .unwrap_or_else(|| panic!("observed site {site} missing from the registry"))
     };
     for (outer, inner) in out.graph.edges.keys() {
         assert!(

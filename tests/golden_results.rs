@@ -1,20 +1,17 @@
-//! Golden-file regression suite for the paper artifacts.
+//! Golden regression suite for the paper artifacts.
 //!
-//! Every figure / use-case / extension generator is re-run with its shipped
-//! seeds and the serialized JSON is compared against the blessed copy in
-//! `tests/goldens/`. Numeric leaves are compared with a relative tolerance
-//! band (default 2%) so that benign float churn — e.g. a different but
-//! equivalent summation order — does not fail the suite, while real drift
-//! in the experiment outcomes does.
+//! Every figure / use-case / extension artifact is re-run in-process
+//! through its `pstack_bench::TABLE` entry, with its shipped seeds, and the
+//! JSON it produces is compared against the committed
+//! `results/<name>.json`. Numeric leaves are compared with a relative
+//! tolerance band (default 2%) so that benign float churn — e.g. a
+//! different but equivalent summation order — does not fail the suite,
+//! while real drift in the experiment outcomes does.
 //!
-//! To re-bless after an intentional change:
-//!
-//! ```text
-//! UPDATE_GOLDENS=1 cargo test --test golden_results
-//! ```
-//!
-//! then commit the updated `tests/goldens/*.json` alongside the change that
-//! caused them.
+//! The committed artifact is the one reference copy: to re-bless after an
+//! intentional change, regenerate it
+//! (`cargo run --release -p pstack-bench --bin regenerate_all <name>`) and
+//! commit it alongside the change that caused it.
 //!
 //! Both documents parse into the vendored `serde::Value`. The workspace keeps
 //! one other JSON value model, `pstack_trace::json::Json`: `pstack-trace` is
@@ -24,14 +21,12 @@
 // Integration tests are exempt from the workspace unwrap policy.
 #![allow(clippy::disallowed_methods)]
 
-use powerstack::core::experiments::{
-    emergency, faults, fig1, fig2, fig3, fig4, fig5, fig6, resume, thermal, uc1, uc6, uc7,
-};
 use serde::Value;
 use std::path::PathBuf;
 
 /// Relative tolerance for numeric leaves. 2% absorbs benign float churn;
-/// anything larger is a real behavioural change that should re-bless.
+/// anything larger is a real behavioural change that should regenerate the
+/// artifact.
 const REL_TOL: f64 = 0.02;
 /// Absolute floor so values near zero don't demand impossible precision.
 const ABS_TOL: f64 = 1e-9;
@@ -64,7 +59,7 @@ fn number(v: &Value) -> Option<f64> {
 fn diff(path: &str, got: &Value, want: &Value, diffs: &mut Vec<String>) {
     if let (Some(a), Some(b)) = (number(got), number(want)) {
         if !numbers_close(a, b) {
-            diffs.push(format!("{path}: {a} vs golden {b}"));
+            diffs.push(format!("{path}: {a} vs committed {b}"));
         }
         return;
     }
@@ -79,21 +74,25 @@ fn diff(path: &str, got: &Value, want: &Value, diffs: &mut Vec<String>) {
             for (key, _) in a {
                 if !b.iter().any(|(k, _)| k == key) {
                     diffs.push(format!(
-                        "{path}.{key}: not in golden (new field — re-bless?)"
+                        "{path}.{key}: not in the committed artifact (new field — regenerate?)"
                     ));
                 }
             }
         }
         (Value::Seq(a), Value::Seq(b)) => {
             if a.len() != b.len() {
-                diffs.push(format!("{path}: length {} vs golden {}", a.len(), b.len()));
+                diffs.push(format!(
+                    "{path}: length {} vs committed {}",
+                    a.len(),
+                    b.len()
+                ));
             }
             for (i, (gv, wv)) in a.iter().zip(b.iter()).enumerate() {
                 diff(&format!("{path}[{i}]"), gv, wv, diffs);
             }
         }
         (g, w) if g == w => {}
-        (g, w) => diffs.push(format!("{path}: {g:?} vs golden {w:?}")),
+        (g, w) => diffs.push(format!("{path}: {g:?} vs committed {w:?}")),
     }
 }
 
@@ -105,106 +104,87 @@ fn parse(s: &str) -> Value {
 // Harness.
 // ---------------------------------------------------------------------------
 
-fn goldens_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens")
-}
-
-fn check(name: &str, produced: String) {
-    let path = goldens_dir().join(format!("{name}.json"));
-    if std::env::var("UPDATE_GOLDENS").is_ok() {
-        std::fs::create_dir_all(goldens_dir()).unwrap();
-        std::fs::write(&path, produced + "\n").unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run `UPDATE_GOLDENS=1 cargo test --test golden_results` to bless",
-            path.display()
-        )
-    });
+fn check(name: &str) {
+    let artifact = pstack_bench::artifact(name).expect("a TABLE entry");
+    let (out, _trace) = artifact.produce();
+    let out = out.unwrap_or_else(|e| panic!("{name} failed: {e}"));
+    let produced = parse(&serde_json::to_string_pretty(&out.json).unwrap());
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("results/{name}.json"));
+    let committed = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing committed artifact {} ({e})", path.display()));
     let mut diffs = Vec::new();
-    diff("$", &parse(&produced), &parse(&golden), &mut diffs);
+    diff("$", &produced, &parse(&committed), &mut diffs);
     assert!(
         diffs.is_empty(),
-        "{name} drifted from its golden (tolerance {:.0}%):\n  {}\nIf intentional, re-bless with UPDATE_GOLDENS=1.",
+        "{name} drifted from results/{name}.json (tolerance {:.0}%):\n  {}\nIf intentional, regenerate the artifact.",
         REL_TOL * 100.0,
         diffs.join("\n  ")
     );
 }
 
-fn to_json<T: serde::Serialize>(v: &T) -> String {
-    serde_json::to_string_pretty(v).unwrap()
-}
-
 #[test]
 fn golden_fig1_end_to_end() {
-    check("fig1_end_to_end", to_json(&fig1::run_default()));
+    check("fig1_end_to_end");
 }
 
 #[test]
 fn golden_fig2_interactions() {
-    check("fig2_interactions", to_json(&fig2::run_default()));
+    check("fig2_interactions");
 }
 
 #[test]
 fn golden_fig3_geopm_policy() {
-    check("fig3_geopm_policy", to_json(&fig3::run_default()));
+    check("fig3_geopm_policy");
 }
 
 #[test]
 fn golden_fig4_ytopt_loop() {
-    check("fig4_ytopt_loop", to_json(&fig4::run_default_parallel()));
+    check("fig4_ytopt_loop");
 }
 
 #[test]
 fn golden_fig5_feti_regions() {
-    check("fig5_feti_regions", to_json(&fig5::run_default()));
+    check("fig5_feti_regions");
 }
 
 #[test]
 fn golden_fig6_power_corridor() {
-    check("fig6_power_corridor", to_json(&fig6::run_default()));
+    check("fig6_power_corridor");
 }
 
 #[test]
 fn golden_uc1_hypre_cotune() {
-    check("uc1_hypre_cotune", to_json(&uc1::run_default()));
+    check("uc1_hypre_cotune");
 }
 
 #[test]
 fn golden_uc6_countdown() {
-    check("uc6_countdown", to_json(&uc6::run_default()));
+    check("uc6_countdown");
 }
 
 #[test]
 fn golden_uc7_two_runtimes() {
-    check("uc7_two_runtimes", to_json(&uc7::run_default()));
+    check("uc7_two_runtimes");
 }
 
 #[test]
 fn golden_ext_emergency() {
-    check("ext_emergency", to_json(&emergency::run_default()));
+    check("ext_emergency");
 }
 
 #[test]
 fn golden_ext_thermal() {
-    check("ext_thermal", to_json(&thermal::run_default()));
+    check("ext_thermal");
 }
 
 #[test]
 fn golden_ext_faults() {
-    check(
-        "ext_faults",
-        to_json(&faults::run_default().expect("E6 sweep completes")),
-    );
+    check("ext_faults");
 }
 
 #[test]
 fn golden_ext_resume() {
-    check(
-        "ext_resume",
-        to_json(&resume::run_default().expect("E7 grid completes")),
-    );
+    check("ext_resume");
 }
 
 // -- self-tests for the comparison machinery --------------------------------

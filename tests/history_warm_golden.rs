@@ -15,9 +15,9 @@
 //! UPDATE_GOLDENS=1         cargo test --test history_warm_golden
 //! ```
 //!
-//! then commit the refreshed fixture and golden together. The cold-run
-//! goldens under `tests/goldens/` are produced by `golden_results` and are
-//! untouched by this suite.
+//! then commit the refreshed fixture and golden together. This is the one
+//! golden under `tests/goldens/`: `golden_results` holds the cold-run
+//! artifacts to their committed `results/` copies instead.
 
 // Integration tests are exempt from the workspace unwrap policy.
 #![allow(clippy::disallowed_methods)]

@@ -1,5 +1,7 @@
 //! Additional property tests: windowed capping, arbitration, imbalance
-//! statistics, objective-translation conservation, and failure handling.
+//! statistics, objective-translation conservation, and failure handling;
+//! plus the static analysis of the shipped framework model, which lints
+//! clean.
 
 // Integration tests are exempt from the workspace unwrap policy.
 #![allow(clippy::disallowed_methods)]
@@ -198,4 +200,20 @@ fn prelude_surface_complete() {
     let _ = powerstack::core::knob_registry();
     let _ = powerstack::core::component_catalog();
     let _ = powerstack::core::vocabulary();
+}
+
+#[test]
+fn shipped_snapshot_has_no_errors() {
+    // Every rule, the layer invariants (PSA011) included, over the model
+    // the workspace ships.
+    let report = powerstack::analyze::analyze_shipped();
+    let errors: Vec<_> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity == powerstack::analyze::Severity::Error)
+        .collect();
+    assert!(
+        errors.is_empty(),
+        "shipped config must lint clean: {errors:#?}"
+    );
 }

@@ -10,15 +10,15 @@
 //! 2. **Worker-count invariance.** The profile's *structural* stats (stage
 //!    counts, cache hits/misses, retries) must not depend on how many
 //!    workers evaluated the batches; only wall times may differ.
-//! 3. **Exporter round-trips.** The Chrome artifact a bench bin writes via
-//!    `pstack_bench::traced` must parse back losslessly, and the JSONL
-//!    format must round-trip the same trace.
+//! 3. **The exporter round-trips.** A real tuning trace survives the Chrome
+//!    format losslessly, and the trace file `pstack_bench::write` leaves
+//!    beside an artifact parses back with the artifact's root span.
 
 #![allow(clippy::disallowed_methods)]
 
 use powerstack::autotune::{EvalError, ForestSearch, RandomSearch, Robustness, TuneReport, Tuner};
 use powerstack::prelude::{Param, ParamSpace};
-use powerstack::trace::{from_chrome, from_jsonl, to_chrome, to_jsonl, TraceCollector};
+use powerstack::trace::{from_chrome, to_chrome, TraceCollector};
 use std::collections::HashMap;
 
 fn space() -> ParamSpace {
@@ -189,32 +189,31 @@ fn exporters_round_trip_a_real_tuning_trace() {
         "chrome round-trip must be lossless"
     );
     assert_eq!(trace.dropped, back.dropped);
-
-    let jsonl = to_jsonl(&trace);
-    let back = from_jsonl(&jsonl).expect("jsonl export must parse back");
-    assert_eq!(trace.spans, back.spans, "jsonl round-trip must be lossless");
 }
 
 #[test]
 fn bench_traced_artifact_is_a_valid_chrome_trace() {
-    // The same helper regenerate_all and every figure bin use, pointed at a
-    // scratch results dir: the written artifact must round-trip.
+    // The writer every results/ artifact goes through, pointed at a
+    // scratch dir: the trace it leaves must round-trip.
     let tmp = std::env::temp_dir().join("pstack-trace-observability-test");
-    std::env::set_var("POWERSTACK_RESULTS_DIR", &tmp);
-    pstack_bench::traced("observability_check", |tc| {
-        tuner(23)
-            .with_trace(std::sync::Arc::clone(tc))
-            .run_parallel(&mut RandomSearch::new(), 3, |_, c| {
-                (bowl(c), HashMap::new())
-            })
-            .unwrap();
-    });
+    let artifact = pstack_bench::Artifact {
+        name: "observability_check",
+        run: |tc, _root| {
+            tuner(23)
+                .with_trace(std::sync::Arc::clone(tc))
+                .run_parallel(&mut RandomSearch::new(), 3, |_, c| {
+                    (bowl(c), HashMap::new())
+                })
+                .map_err(|e| e.to_string())?;
+            Ok(pstack_bench::Output::new(String::new(), &Vec::<u8>::new()))
+        },
+    };
+    pstack_bench::write(&tmp, &artifact).expect("no check to fail");
     let raw = std::fs::read_to_string(tmp.join("trace_observability_check.json"))
-        .expect("traced() must write the artifact");
+        .expect("write() must leave the trace");
     let trace = from_chrome(&raw).expect("artifact must be a valid Chrome trace");
     assert!(trace.by_name("observability_check").next().is_some());
     assert!(trace.by_name("tuner.run_parallel").next().is_some());
     assert!(trace.by_name("eval").next().is_some());
-    std::env::remove_var("POWERSTACK_RESULTS_DIR");
     let _ = std::fs::remove_dir_all(&tmp);
 }
