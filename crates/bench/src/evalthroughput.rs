@@ -1,12 +1,13 @@
-//! Evaluation-throughput measurement for the batched SoA fast path.
+//! Evaluation-throughput measurement for the batched evaluation fast path.
 //!
 //! The `bench_evalthroughput` artifact: times the same deterministic sample of co-tune configurations through
 //! three evaluators and reports evals/min for each:
 //!
 //! - `scalar`: the oracle — `simulate_app` rebuilds the full simulated
-//!   stack (fresh `NodeManager`s, workload, runner) per evaluation.
-//! - `arena`: the `EvalArena` fast path — reset-in-place state over the
-//!   SoA `NodeBatch`, **bit-identical** to the scalar oracle (asserted for
+//!   stack (fresh `NodeManager`s, workload, lockstep kernel) per
+//!   evaluation and steps the scalar nodes.
+//! - `arena`: the `EvalArena` fast path — reset-in-place state over
+//!   `NodeBatch` lanes, **bit-identical** to the scalar oracle (asserted for
 //!   every sampled configuration, cost and every aux metric).
 //! - `arena_coarse`: the arena with coarse-tick integration enabled —
 //!   uncapped spans integrate with the closed-form RC exponential over long

@@ -1,28 +1,34 @@
 //! Reusable evaluation arena: the batched fast path for co-tuning evals.
 //!
 //! [`crate::cotune::simulate_app`] rebuilds the whole scenario for every
-//! evaluation: fresh [`pstack_node::NodeManager`]s, a fresh
-//! `pstack_runtime::JobRunner`, telemetry time-series and performance
-//! counters the co-tuning objective never reads. [`EvalArena`] replays the
-//! *same* simulation on the structure-of-arrays [`NodeBatch`] instead: state
-//! is reset in place between evaluations and the stepping loop is
-//! allocation-free.
+//! evaluation: fresh [`pstack_node::NodeManager`]s stepping their scalar
+//! nodes, telemetry time-series and performance counters the co-tuning
+//! objective never reads, and the job's load-imbalance factors.
+//! [`EvalArena`] replays the *same* simulation on [`NodeBatch`] lanes
+//! instead: state is reset in place between evaluations, the
+//! stepping loop is allocation-free, and the imbalance factors of each
+//! `(seed, node count)` are drawn once and kept.
 //!
 //! ## Equivalence contract
 //!
 //! The arena is **bit-identical** to `simulate_app` — the scalar path stays
-//! the oracle. Both run the job on the same [`Lockstep`] kernel, which draws
-//! the per-node work program, chooses every sub-step, advances the work and
-//! releases the barriers; the arena is its agent-free driver. What remains
-//! to agree on is:
+//! the oracle. Both run the job on the same [`Lockstep`] kernel, which
+//! builds the per-node work program, chooses every sub-step, advances the
+//! work and releases the barriers; the arena is its agent-free driver over
+//! lanes. What remains to agree on is:
 //!
-//! - the caps the driver hands the kernel: `JobRunner`'s 250 ms ceiling
-//!   within its 60 s `run_to_completion` quanta (with no agents there are no
+//! - the caps the driver hands the kernel: `simulate_app`'s 250 ms ceiling
+//!   within its 60 s quanta (`JobRunner::run_to_completion`'s, with no
 //!   control ticks);
+//! - the imbalance factors: they depend only on the MPI model, the seed
+//!   tree and the node count, and the kept ones are the draws a fresh
+//!   [`Lockstep::reset`] makes;
 //! - node stepping: the arena's backend delegates to [`NodeBatch::step`],
-//!   which is bit-identical to `Node::step` at nominal knobs (see
-//!   `pstack-hwmodel`'s `batch_equivalence` suite), and idles nodes on the
-//!   same I/O-bound mixture on no cores as `NodeManager::step_idle`.
+//!   which is bit-identical to `Node::step` (see `pstack-hwmodel`'s
+//!   `batch_equivalence` suite), and idles nodes on the same I/O-bound
+//!   mixture on no cores as `NodeManager::step_idle`. The arena fills its
+//!   lanes with [`NodeBatch::reset`], so they keep no counters or package
+//!   energy: an evaluation reads neither.
 //!
 //! ## Tick coarsening
 //!
@@ -53,8 +59,8 @@
 
 use pstack_apps::workload::{AppModel, Phase};
 use pstack_apps::MpiModel;
-use pstack_hwmodel::{NodeBatch, NodeConfig, PhaseKind, PhaseMix};
-use pstack_node::{Activity, Lockstep, StepBackend};
+use pstack_hwmodel::{NodeBatch, NodeConfig};
+use pstack_node::{barrier_mix, idle_mix, Activity, Imbalance, Lockstep, StepBackend};
 use pstack_sim::{SeedTree, SimDuration, SimTime};
 
 /// Default RAPL window, matching [`crate::cotune::simulate_app`].
@@ -70,6 +76,10 @@ const QUANTUM_S: u64 = 60;
 /// 32 control intervals at the oracle's 250 ms — comfortably past the RAPL
 /// controller's proportional-descent convergence (a handful of intervals).
 const SETTLE_S: u64 = 8;
+
+/// Imbalance factor sets kept at most; past this many `(seed, node count)`
+/// pairs the arena forgets them all and draws afresh.
+const MAX_IMBALANCE_SETS: usize = 16;
 
 /// Ceiling on held-controller ticks under a cap (10 control intervals).
 /// Longer held ticks delay emergency descents against the leakage-driven
@@ -132,6 +142,9 @@ pub struct EvalArena {
     lockstep: Lockstep,
     nodes: BatchNodes,
     mpi: MpiModel,
+    /// The imbalance factors of each `(seed, node count)` evaluated so far
+    /// (they depend on nothing else under the arena's MPI model).
+    imbalance: Vec<Imbalance>,
     /// Sub-step ceiling for uncapped evaluations (None → oracle's 250 ms).
     coarse_substep: Option<SimDuration>,
     /// Effective sub-step ceiling for the current evaluation.
@@ -151,8 +164,8 @@ impl EvalArena {
     /// An arena over an explicit node configuration and MPI model.
     pub fn with_config(cfg: NodeConfig, mpi: MpiModel) -> Self {
         let mut batch = NodeBatch::new(cfg);
-        let idle_mix = batch.register_mix(&PhaseMix::pure(PhaseKind::IoBound));
-        let wait_mix = batch.register_mix(&PhaseMix::pure(PhaseKind::CommBound));
+        let idle_mix = batch.register_mix(&idle_mix());
+        let wait_mix = batch.register_mix(&barrier_mix());
         EvalArena {
             lockstep: Lockstep::default(),
             nodes: BatchNodes {
@@ -166,6 +179,7 @@ impl EvalArena {
                 flipped: false,
             },
             mpi,
+            imbalance: Vec::new(),
             coarse_substep: None,
             max_substep: SimDuration::from_millis(MAX_SUBSTEP_MS),
             fine_until: SimTime::ZERO,
@@ -212,8 +226,8 @@ impl EvalArena {
         assert!(n_nodes >= 1, "need at least one node");
         self.reset_for(app, n_nodes, node_cap_w, seed);
         let makespan = self.run_to_completion().since(SimTime::ZERO);
-        // Same fold order as `JobRunner::result`: per-node energy then work,
-        // summed in node order (start energy is exactly 0.0 on fresh nodes).
+        // Same fold order as `simulate_app`: per-node energy then work,
+        // summed in node order.
         let energy_j: f64 = (0..n_nodes).map(|i| self.nodes.batch.energy_j(i)).sum();
         let total_work: f64 = self.lockstep.work_done().iter().sum();
         self.evals += 1;
@@ -247,12 +261,26 @@ impl EvalArena {
             let id = nodes.batch.register_mix(&phase.mix);
             nodes.mix_ids.push(id);
         }
-        self.lockstep
-            .reset(workload, n_nodes, &self.mpi, &SeedTree::new(seed));
+        let kept = self
+            .imbalance
+            .iter()
+            .position(|f| f.seed() == seed && f.n_nodes() == n_nodes);
+        let factors = match kept {
+            Some(i) => &mut self.imbalance[i],
+            None => {
+                if self.imbalance.len() >= MAX_IMBALANCE_SETS {
+                    self.imbalance.clear();
+                }
+                let drawn = Imbalance::new(&self.mpi, &SeedTree::new(seed), n_nodes);
+                self.imbalance.push(drawn);
+                self.imbalance.last_mut().expect("just pushed")
+            }
+        };
+        self.lockstep.reset_with(workload, factors);
     }
 
-    /// Drive the kernel to completion in `JobRunner::run_to_completion`'s
-    /// 60 s quanta, applying the coarse settle/hold policy per sub-step.
+    /// Drive the kernel to completion in `simulate_app`'s 60 s quanta,
+    /// applying the coarse settle/hold policy per sub-step.
     /// Returns the completion time.
     fn run_to_completion(&mut self) -> SimTime {
         let coarse = self.coarse_substep.is_some();
@@ -304,6 +332,7 @@ mod tests {
     use pstack_apps::kernelmodel::KernelApp;
     use pstack_apps::synthetic::{Profile, SyntheticApp};
     use pstack_apps::workload::Workload;
+    use pstack_hwmodel::PhaseMix;
 
     fn assert_triple_bits(scalar: (f64, f64, f64), batch: (f64, f64, f64), what: &str) {
         assert_eq!(

@@ -17,13 +17,20 @@ use pstack_apps::workload::AppModel;
 use pstack_apps::MpiModel;
 use pstack_autotune::{BatchEvaluator, Config, Param, ParamSpace, TuneError, TuneReport, Tuner};
 use pstack_hwmodel::{Node, NodeConfig, NodeId};
-use pstack_node::NodeManager;
-use pstack_runtime::{ArbiterMode, JobRunner};
+use pstack_node::{Lockstep, NodeManager, ScalarNodes, Signal};
 use pstack_sim::{SeedTree, SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// Simulate `app` on `n_nodes` nominal nodes under an optional node power
 /// cap; returns `(time_s, energy_j, work)`.
+///
+/// The agent-free reference run: the [`Lockstep`] kernel steps the scalar
+/// nodes ([`ScalarNodes`]) in `JobRunner::run_to_completion`'s 60 s quanta
+/// under its 250 ms sub-step ceiling, and energy and work fold in node
+/// order as `JobRunner::result` folds them — the job a `JobRunner` with no
+/// agents runs, on the scalar `Node::step` path rather than its lanes.
+/// `EvalArena` is held to it bit for bit, and `bench_evalthroughput`'s
+/// scalar lane times it.
 pub fn simulate_app(
     app: &dyn AppModel,
     n_nodes: usize,
@@ -38,16 +45,28 @@ pub fn simulate_app(
             nm.set_power_limit(SimTime::ZERO, cap, SimDuration::from_millis(10));
         }
     }
-    let seeds = SeedTree::new(seed);
-    let mut runner = JobRunner::new(
-        &app.workload(n_nodes),
+    let mut lockstep = Lockstep::new(
+        app.workload(n_nodes),
         n_nodes,
         &MpiModel::typical(),
-        &seeds,
-        ArbiterMode::Gated,
+        &SeedTree::new(seed),
     );
-    let r = runner.run_to_completion(SimTime::ZERO, &mut nodes, &mut []);
-    (r.makespan.as_secs_f64(), r.energy_j, r.total_work)
+    let mut backend = ScalarNodes::new(&mut nodes);
+    let (quantum, ceiling) = (SimDuration::from_secs(60), SimDuration::from_millis(250));
+    let mut t = SimTime::ZERO;
+    'job: loop {
+        let horizon = t + quantum;
+        while t < horizon {
+            let step = lockstep.step(t, horizon.since(t).min(ceiling), &mut backend);
+            t += step.dt;
+            if step.completed {
+                break 'job;
+            }
+        }
+    }
+    let energy_j: f64 = nodes.iter().map(|n| n.read(Signal::NodeEnergyJoules)).sum();
+    let work: f64 = lockstep.work_done().iter().sum();
+    (t.since(SimTime::ZERO).as_secs_f64(), energy_j, work)
 }
 
 /// §3.2.1 joint space: Hypre application knobs × RM node count × node power
@@ -152,7 +171,7 @@ impl HypreCoTune {
 
     /// Evaluate one configuration on a reusable [`EvalArena`] instead of a
     /// freshly built scenario. Bit-identical to [`evaluate`](Self::evaluate)
-    /// (the arena replays the scalar driver over the SoA batch), but
+    /// (the arena replays the scalar driver over batched lanes), but
     /// amortizes all per-evaluation allocation.
     pub fn evaluate_in(
         &self,
@@ -219,7 +238,7 @@ impl HypreCoTune {
     }
 
     /// Like [`tune_parallel`](Self::tune_parallel), but through the batched
-    /// SoA fast path: one warm [`EvalArena`] evaluates every proposal with
+    /// fast path: one warm [`EvalArena`] evaluates every proposal with
     /// all per-evaluation allocation amortized away. The report is
     /// byte-identical to [`tune_parallel`](Self::tune_parallel) at any
     /// worker count, at a fraction of the wall-clock cost. It matches
@@ -427,7 +446,7 @@ impl KernelCoTune {
     }
 
     /// Like [`tune_parallel`](Self::tune_parallel), but through the batched
-    /// SoA fast path: one warm [`EvalArena`] evaluates every proposal with
+    /// fast path: one warm [`EvalArena`] evaluates every proposal with
     /// all per-evaluation allocation amortized away. The report is
     /// byte-identical to [`tune_parallel`](Self::tune_parallel) at any
     /// worker count, at a fraction of the wall-clock cost. It matches

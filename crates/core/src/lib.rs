@@ -20,8 +20,8 @@
 //! - [`cotune`] — cross-layer parameter-space construction and tuning using
 //!   `pstack-autotune` over simulated scenarios (§3.1, §4.4).
 //! - [`arena`] — the reusable batched evaluation arena: reset-in-place
-//!   scenario state over `pstack-hwmodel`'s SoA fast path, bit-identical to
-//!   the scalar `simulate_app` oracle.
+//!   scenario state over `pstack-hwmodel`'s batched node lanes,
+//!   bit-identical to the scalar `simulate_app` oracle.
 //! - [`experiments`] — one module per paper table/figure/use case, each
 //!   regenerating the corresponding result (see DESIGN.md's index).
 

@@ -1,36 +1,58 @@
-//! Batched structure-of-arrays (SoA) node stepping — the evaluation fast path.
+//! Batched node stepping over flat package lanes: the node engine under
+//! running jobs (`pstack-runtime`'s `JobRunner`) and under the evaluation
+//! fast path (`powerstack-core`'s `EvalArena`).
 //!
-//! [`Node::step`] is exact but pays, per package and per tick, for work the
-//! tuning loop never reads: performance-counter updates, `Vec` allocation in
-//! core splitting, repeated roofline and CMOS model evaluations over the same
-//! `(mix, P-state, cores)` operating point, and a fresh `exp()` per thermal
-//! advance. [`NodeBatch`] keeps the *dynamic* state of many nodes as flat
-//! arrays (temperature, throttle bitset, energy, cap controllers) and the
-//! *static* model as shared memoized coefficients, so stepping a node is a
-//! handful of flops plus table lookups.
+//! [`Node::step`] is exact but re-evaluates, per package and per sub-step,
+//! the roofline and CMOS models at an operating point that rarely changes,
+//! and takes a fresh `exp()` per thermal advance. [`NodeBatch`] keeps the
+//! *dynamic* state of many nodes as one flat array of package lanes
+//! (temperature, throttle latch, P-state, uncore and duty-cycle knobs,
+//! variation factors, ambient, counters, energy) beside their cap
+//! controllers, and the *static* model as shared memoized coefficients, so
+//! stepping a node is a handful of flops plus table lookups.
+//!
+//! Lanes are filled in one of two ways:
+//!
+//! - [`NodeBatch::load`] moves the state of existing [`Node`]s into the
+//!   lanes and [`NodeBatch::store`] moves it back. The cap controller and
+//!   RAPL window are moved, not cloned, and a node loaded and stored
+//!   without a step in between is unchanged. Loaded lanes keep each
+//!   package's eight counters and energy, as the scalar package does.
+//! - [`NodeBatch::reset`] fills fresh nominal nodes, as `EvalArena` does
+//!   per evaluation. These lanes elide the counters and package energy,
+//!   which no reader of an evaluation consults.
 //!
 //! ## Bit-identity contract
 //!
-//! The batch path is an optimization of the scalar path, not an approximation:
-//! for the nominal-knob configuration the driver uses (top requested P-state,
-//! top uncore, full duty cycle, [`VariationFactors::NOMINAL`]), every value it
-//! produces is **bit-identical** to [`Node::step`] / [`Node::work_rate`]. The
-//! only transformations applied are bit-transparent:
+//! The batch path is an optimization of the scalar path, not an
+//! approximation: for any node — manufacturing variation, any ambient, and
+//! any sequence of P-state, uncore, duty-cycle and cap knobs — every value
+//! it produces is **bit-identical** to [`Node::step`] / [`Node::work_rate`]
+//! and to the node's readings (energy, temperatures, throttle latches,
+//! effective frequency, counters). The only transformations applied are
+//! bit-transparent:
 //!
-//! - **Memoized coefficients.** `speed`, `core_dynamic_w` and `dram_w` depend
-//!   only on `(mix, P-state, active cores)`; on a cache miss they are computed
-//!   by calling the *same scalar model functions*, so a hit replays the exact
-//!   bits a fresh call would produce.
-//! - **Memoized exponential.** The RC-thermal decay factor `exp(-dt/τ)`
-//!   depends only on the tick length; it is cached keyed on the bit pattern
-//!   of `dt_s`.
+//! - **Memoized coefficients.** Speed, core dynamic, uncore and DRAM power,
+//!   and a package's core share and work rate depend only on `(mix,
+//!   P-state, active cores, uncore index, duty cycle)`; on a cache miss they
+//!   are computed by calling the *same scalar model functions and
+//!   expressions*, so a hit replays the exact bits a fresh call would
+//!   produce. The counter increments' phase-mix blends are computed once
+//!   per registered mix, by the same `PhaseMix` calls.
+//! - **One-slot tick memo.** A sub-step's length in seconds and
+//!   microseconds and the RC-thermal decay factor `exp(-dt/τ)` depend only
+//!   on the length; the latest length's values are kept, and a new length
+//!   computes them afresh with the scalar expressions. Every node of a
+//!   sub-step shares its length, so a sub-step computes them at most once.
 //! - **Flat-window average.** When a tick is at least as long as the RAPL
 //!   window, the measurement window sees only the step just recorded;
 //!   [`RaplWindow::average_w`] then skips its deque walk without changing
 //!   a bit (the same rule serves the scalar path).
-//! - **Skipped dead state.** Counter banks, package-level energy and the
-//!   variation multiplies (`x * 1.0` is bitwise `x` for finite `x`) are
-//!   elided because no consumer on this path reads them.
+//! - **One counter check per step.** A step's eight counter increments are
+//!   checked finite and non-negative together, in one vectorizable test
+//!   rather than a branch per increment; a failing step panics as
+//!   [`CounterBank::add_all`] does.
+//! - **Elided state** (reset lanes only): counters and package energy.
 //!
 //! Closed-form exponential integration (already exact in [`ThermalModel`])
 //! means tick *length* never changes the thermal trajectory between control
@@ -40,169 +62,201 @@
 //! [`step_held`](NodeBatch::step_held) (see `pstack-core`'s `EvalArena`).
 //!
 //! The scalar path remains the oracle: `tests/batch_equivalence.rs` drives
-//! both through random mix/core/tick/cap sequences (including throttle
-//! hysteresis crossings) and asserts `f64::to_bits` equality.
-//!
-//! [`VariationFactors::NOMINAL`]: crate::variation::VariationFactors::NOMINAL
+//! both through random mix/core/tick sequences and every knob — on nominal
+//! nodes and on fleet nodes with manufacturing variation and a thermal
+//! gradient, across throttle hysteresis crossings — and asserts
+//! `f64::to_bits` equality of every output, reading and counter.
 
 use crate::cap::{PowerCap, RaplWindow};
-use crate::node::{NodeConfig, StepOutput};
+use crate::node::{Node, NodeConfig, StepOutput};
 use crate::phase::{PhaseKind, PhaseMix};
 use crate::pstate::DutyCycle;
 use crate::thermal::ThermalModel;
+use crate::variation::VariationFactors;
 use pstack_sim::{SimDuration, SimTime};
+use pstack_telemetry::counters::ALL_COUNTERS;
+use pstack_telemetry::{CounterBank, CounterKind};
 use std::collections::HashMap;
 
-/// A fixed-capacity bit vector; one bit per package lane.
-#[derive(Debug, Clone, Default)]
-pub struct Bitset {
-    words: Vec<u64>,
-    len: usize,
+/// What a coefficient slot holds besides its `(mix, P-state)`: the
+/// per-package active core count and the uncore and duty-cycle knobs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Tag {
+    active: usize,
+    uncore: usize,
+    duty: DutyCycle,
 }
 
-impl Bitset {
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the set holds no bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Resize to `len` bits, clearing every bit.
-    pub fn reset(&mut self, len: usize) {
-        self.words.resize(len.div_ceil(64), 0);
-        self.words.iter_mut().for_each(|w| *w = 0);
-        self.len = len;
-    }
-
-    /// Read bit `i`.
-    pub fn get(&self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        self.words[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    /// Write bit `i`.
-    pub fn set(&mut self, i: usize, value: bool) {
-        debug_assert!(i < self.len);
-        let mask = 1u64 << (i % 64);
-        if value {
-            self.words[i / 64] |= mask;
-        } else {
-            self.words[i / 64] &= !mask;
-        }
-    }
-}
-
-/// Memoized operating-point coefficients for one `(mix, P-state, active)`
-/// triple. Filled by calling the scalar model functions once.
+/// Memoized operating-point coefficients for one `(mix, P-state)` slot and
+/// [`Tag`]. Filled by calling the scalar model functions once.
 #[derive(Debug, Clone, Copy)]
 struct Coeff {
     /// Relative speed (scalar `SpeedModel::speed`).
     speed: f64,
-    /// Core dynamic power, W (scalar `PowerModel::core_dynamic_w`).
+    /// The package's work rate, `speed · active / n_cores` (scalar
+    /// `Package::work_rate`).
+    rate: f64,
+    /// The package's core share, `active / n_cores`, as `Package::step`
+    /// computes it.
+    share: f64,
+    /// Core dynamic power before variation, W (scalar
+    /// `PowerModel::core_dynamic_w`).
     core_dyn_w: f64,
+    /// Uncore power, W (scalar `PowerModel::uncore_w`).
+    uncore_w: f64,
     /// DRAM power, W (scalar `PowerModel::dram_w` at this speed).
     dram_w: f64,
     /// Core frequency at this P-state, GHz.
     freq_ghz: f64,
 }
 
-/// SoA dynamic state of every package lane in the batch.
+/// A registered mix's blends used by the counter increments (the same
+/// `PhaseMix` calls `Package::step` makes per step).
+#[derive(Debug, Clone, Copy)]
+struct CounterRates {
+    instructions: f64,
+    flops: f64,
+    mem_intensity: f64,
+    comm: f64,
+    io: f64,
+}
+
+impl CounterRates {
+    fn of(mix: &PhaseMix) -> Self {
+        CounterRates {
+            instructions: mix.blend(PhaseKind::instructions_per_work),
+            flops: mix.blend(PhaseKind::flops_per_work),
+            mem_intensity: mix.blend(PhaseKind::mem_intensity),
+            comm: mix.weight(PhaseKind::CommBound),
+            io: mix.weight(PhaseKind::IoBound),
+        }
+    }
+}
+
+/// The values a sub-step length determines, as the scalar path computes
+/// them per step.
+#[derive(Debug, Clone, Copy)]
+struct Tick {
+    dt: SimDuration,
+    /// `dt.as_secs_f64()`.
+    dt_s: f64,
+    /// `dt.as_micros() as f64`.
+    dt_us: f64,
+    /// `exp(-dt_s / τ)`, as `ThermalModel::advance` computes it.
+    decay: f64,
+}
+
+/// The dynamic state of one package lane, besides its cap controller.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    /// Junction temperature, °C.
+    temp_c: f64,
+    /// Thermal-throttle latch.
+    throttling: bool,
+    /// Ambient (inlet) temperature, °C.
+    t_ambient_c: f64,
+    /// Requested P-state index (the DVFS knob).
+    pstate_req: usize,
+    /// Uncore frequency index (the UFS knob).
+    uncore_idx: usize,
+    /// Duty-cycle modulation (the clock-modulation knob).
+    duty: DutyCycle,
+    /// Manufacturing-variation multipliers.
+    variation: VariationFactors,
+    /// Package energy, joules (kept while counting).
+    energy_j: f64,
+    /// Counter values in [`ALL_COUNTERS`] order (kept while counting).
+    counts: [f64; ALL_COUNTERS.len()],
+}
+
+/// Dynamic state of every package lane in the batch.
 ///
-/// Lane `node * n_packages + pkg` holds package `pkg` of node `node`. All
-/// hot per-tick state lives in flat arrays so a step is sequential loads and
-/// stores, never pointer-chasing through per-node structs.
+/// Lane `node * n_packages + pkg` holds package `pkg` of node `node`. The
+/// lanes are one flat array, so a step reads and writes a node's packages
+/// side by side, never pointer-chasing through per-node structs.
 #[derive(Debug, Default)]
 pub struct PackageBatch {
-    /// Junction temperature per lane, °C.
-    temp_c: Vec<f64>,
-    /// Thermal-throttle latch per lane.
-    throttling: Bitset,
-    /// Requested P-state index per lane (the DVFS knob).
-    pstate_req: Vec<usize>,
+    lanes: Vec<Lane>,
     /// Optional RAPL cap + measurement window per lane.
     caps: Vec<Option<(PowerCap, RaplWindow)>>,
 }
 
-impl PackageBatch {
-    fn lanes(&self) -> usize {
-        self.temp_c.len()
-    }
-}
-
-/// Batched SoA evaluation of many [`Node`]s with nominal knobs.
+/// Batched evaluation of many [`Node`]s over package lanes.
 ///
-/// Construct once, then [`reset`](NodeBatch::reset) between evaluations:
-/// state is rewritten in place and every allocation (lane arrays, cap
-/// windows, coefficient tables) is reused.
-///
-/// [`Node`]: crate::node::Node
+/// Construct once, then either [`reset`](NodeBatch::reset) to fresh nominal
+/// nodes or [`load`](NodeBatch::load) existing ones: state is rewritten in
+/// place and every allocation (lane arrays, cap windows, coefficient
+/// tables) is reused.
 #[derive(Debug)]
 pub struct NodeBatch {
     cfg: NodeConfig,
     /// Thermal parameters shared by every lane (scalar packages always use
-    /// [`ThermalModel::server_default`]).
+    /// [`ThermalModel::server_default`]); its ambient is the one reset
+    /// lanes start at, while each lane keeps its own.
     thermal: ThermalModel,
     /// RC time constant `r_th · c_th`, seconds.
     tau_s: f64,
-    /// Uncore frequency at the (fixed, top) uncore index, GHz.
-    uncore_ghz: f64,
-    /// Uncore power at that frequency, W — constant on this path.
-    uncore_w: f64,
     /// Top core P-state index.
     top_idx: usize,
+    /// Top uncore index.
+    top_uncore: usize,
     pkgs: PackageBatch,
     /// Node energy per node, joules.
     energy_j: Vec<f64>,
     n_nodes: usize,
+    /// Whether the lanes keep counters and package energy: true for lanes
+    /// loaded from nodes, false for reset lanes.
+    counting: bool,
     /// Registered phase mixes; step/work_rate take a mix id, not a `&PhaseMix`.
     mixes: Vec<PhaseMix>,
+    /// Counter blends of each registered mix.
+    rates: Vec<CounterRates>,
     mix_index: HashMap<[u64; 4], usize>,
     /// Memoized scalar-model coefficients, stored dense: slot
-    /// `mix · n_pstates + pstate`, tagged with the active-core count it was
-    /// computed for. Within one evaluation a mix runs a fixed core count, so
-    /// the one-entry-per-slot cache almost never collides; a collision just
-    /// recomputes through the same scalar model calls. Keeping the stride at
-    /// `n_pstates` (not `n_pstates · n_cores`) makes registering a fresh mix
-    /// touch ~1 KB instead of ~26 KB — the memset and minor-fault cost of the
-    /// wide layout dominated first-evaluation latency.
-    coeffs: Vec<Option<(usize, Coeff)>>,
-    /// `dt_s bit pattern → exp(-dt_s / τ)`.
-    exp_memo: HashMap<u64, f64>,
-    /// Inline slot for the latest decay factor — sub-steps are overwhelmingly
-    /// the same length, so this hits without touching the memo map.
-    last_decay: (u64, f64),
+    /// `mix · n_pstates + pstate`, tagged with the active-core count and the
+    /// uncore and duty knobs it was computed for. A job runs a mix on a
+    /// fixed core count, and its nodes mostly share knobs, so the
+    /// one-entry-per-slot cache rarely collides; a collision just recomputes
+    /// through the same scalar model calls. Keeping the stride at
+    /// `n_pstates` (not `n_pstates · n_cores`) keeps registering a fresh mix
+    /// to a couple of kilobytes — the memset and minor-fault cost of a wide
+    /// layout dominated first-evaluation latency.
+    coeffs: Vec<Option<(Tag, Coeff)>>,
+    /// The latest sub-step length's derived values.
+    tick: Tick,
     /// Resets that reused existing allocations (no lane growth needed).
     reuse_hits: usize,
 }
 
 impl NodeBatch {
     /// Build an empty batch for nodes of the given configuration. Call
-    /// [`reset`](NodeBatch::reset) to size it.
+    /// [`reset`](NodeBatch::reset) or [`load`](NodeBatch::load) to fill it.
     pub fn new(cfg: NodeConfig) -> Self {
         let thermal = ThermalModel::server_default();
         let tau_s = thermal.r_th * thermal.c_th;
-        let uncore_ghz = cfg.package.uncore.max();
-        let uncore_w = cfg.package.power.uncore_w(uncore_ghz);
         let top_idx = cfg.package.pstates.top_idx();
+        let top_uncore = cfg.package.uncore.top_idx();
+        let zero = SimDuration::ZERO;
         NodeBatch {
             cfg,
             thermal,
             tau_s,
-            uncore_ghz,
-            uncore_w,
             top_idx,
+            top_uncore,
             pkgs: PackageBatch::default(),
             energy_j: Vec::new(),
             n_nodes: 0,
+            counting: false,
             mixes: Vec::new(),
+            rates: Vec::new(),
             mix_index: HashMap::new(),
             coeffs: Vec::new(),
-            exp_memo: HashMap::new(),
-            last_decay: (u64::MAX, 0.0),
+            tick: Tick {
+                dt: zero,
+                dt_s: zero.as_secs_f64(),
+                dt_us: zero.as_micros() as f64,
+                decay: (-zero.as_secs_f64() / tau_s).exp(),
+            },
             reuse_hits: 0,
         }
     }
@@ -222,9 +276,26 @@ impl NodeBatch {
         self.reuse_hits
     }
 
-    /// Reset the batch in place to `n_nodes` fresh nodes, optionally applying
-    /// a node power cap (split across packages exactly like
-    /// [`Node::set_power_cap`]) at `t = 0` with the given window.
+    /// A fresh nominal package lane: ambient temperature, top P-state and
+    /// uncore, full duty, no variation, nothing counted.
+    fn nominal_lane(&self) -> Lane {
+        Lane {
+            temp_c: self.thermal.t_ambient,
+            throttling: false,
+            t_ambient_c: self.thermal.t_ambient,
+            pstate_req: self.top_idx,
+            uncore_idx: self.top_uncore,
+            duty: DutyCycle::FULL,
+            variation: VariationFactors::NOMINAL,
+            energy_j: 0.0,
+            counts: [0.0; ALL_COUNTERS.len()],
+        }
+    }
+
+    /// Reset the batch in place to `n_nodes` fresh nominal nodes, optionally
+    /// applying a node power cap (split across packages exactly like
+    /// [`Node::set_power_cap`]) at `t = 0` with the given window. The lanes
+    /// keep no counters or package energy.
     ///
     /// Equivalent to constructing `n_nodes` × [`Node::nominal`] and calling
     /// `set_power_cap(SimTime::ZERO, cap_w, window)` on each — but without
@@ -234,29 +305,22 @@ impl NodeBatch {
     /// Panics if a cap does not cover platform power (as the scalar node does).
     ///
     /// [`Node::nominal`]: crate::node::Node::nominal
-    /// [`Node::set_power_cap`]: crate::node::Node::set_power_cap
     pub fn reset(&mut self, n_nodes: usize, node_cap_w: Option<f64>, window: SimDuration) {
         let lanes = n_nodes * self.cfg.n_packages;
-        if lanes <= self.pkgs.lanes() && n_nodes <= self.energy_j.len() {
+        if lanes <= self.pkgs.lanes.capacity() && n_nodes <= self.energy_j.capacity() {
             self.reuse_hits += 1;
         }
         self.n_nodes = n_nodes;
-        self.pkgs.temp_c.resize(lanes, 0.0);
-        self.pkgs
-            .temp_c
-            .iter_mut()
-            .for_each(|t| *t = self.thermal.t_ambient);
-        self.pkgs.throttling.reset(lanes);
-        self.pkgs.pstate_req.resize(lanes, 0);
-        let top = self.top_idx;
-        self.pkgs.pstate_req.iter_mut().for_each(|p| *p = top);
-        self.pkgs
-            .caps
-            .resize_with(lanes, || None::<(PowerCap, RaplWindow)>);
+        self.counting = false;
+        let nominal = self.nominal_lane();
+        self.pkgs.lanes.clear();
+        self.pkgs.lanes.resize(lanes, nominal);
+        self.energy_j.clear();
         self.energy_j.resize(n_nodes, 0.0);
-        self.energy_j.iter_mut().for_each(|e| *e = 0.0);
+        let caps = &mut self.pkgs.caps;
+        caps.resize_with(lanes, || None);
         match node_cap_w {
-            None => self.pkgs.caps.iter_mut().for_each(|c| *c = None),
+            None => caps.fill_with(|| None),
             Some(cap_w) => {
                 // Fresh-node semantics (unlike `set_power_cap`'s mid-run
                 // retarget): controller state and window history start empty,
@@ -270,7 +334,7 @@ impl NodeBatch {
                 );
                 let per_pkg = for_packages / self.cfg.n_packages as f64;
                 let top_idx = self.top_idx;
-                for slot in self.pkgs.caps.iter_mut() {
+                for slot in caps.iter_mut() {
                     let mut win = match slot.take() {
                         Some((_, mut w)) if w.window() == window => {
                             w.reset();
@@ -281,6 +345,78 @@ impl NodeBatch {
                     win.record(SimTime::ZERO, 0.0);
                     *slot = Some((PowerCap::new(per_pkg, window, top_idx), win));
                 }
+            }
+        }
+    }
+
+    /// Move the state of `nodes` into the batch, node `i` of the iterator
+    /// into batch node `i`: every package's thermal state and ambient,
+    /// knobs, variation factors, counters and energy, and its cap
+    /// controller and RAPL window (moved, leaving the node uncapped until
+    /// [`store`](NodeBatch::store) moves them back). The lanes keep
+    /// counters and package energy. Between `load` and `store` the lanes
+    /// hold the nodes' state; the parked nodes must not be stepped or read.
+    ///
+    /// # Panics
+    /// Panics if a node has a different package count than the batch's
+    /// configuration (debug builds check the whole configuration).
+    pub fn load<'a>(&mut self, nodes: impl ExactSizeIterator<Item = &'a mut Node>) {
+        self.n_nodes = nodes.len();
+        self.counting = true;
+        let pk = &mut self.pkgs;
+        pk.lanes.clear();
+        pk.caps.clear();
+        self.energy_j.clear();
+        for node in nodes {
+            assert_eq!(
+                node.packages.len(),
+                self.cfg.n_packages,
+                "package count mismatch"
+            );
+            debug_assert!(node.config() == &self.cfg, "node configuration mismatch");
+            self.energy_j.push(node.energy_j);
+            for p in node.packages.iter_mut() {
+                pk.lanes.push(Lane {
+                    temp_c: p.thermal.t_now,
+                    throttling: p.thermal.throttling,
+                    t_ambient_c: p.thermal.t_ambient,
+                    pstate_req: p.pstate_req,
+                    uncore_idx: p.uncore_idx,
+                    duty: p.duty,
+                    variation: p.variation,
+                    energy_j: p.energy_j,
+                    counts: p.counters.values(),
+                });
+                pk.caps.push(p.cap.take());
+            }
+        }
+    }
+
+    /// Move the lanes' state back into `nodes` — the nodes of the last
+    /// [`load`](NodeBatch::load), in the same order: everything a step or a
+    /// knob can change (variation factors cannot).
+    ///
+    /// # Panics
+    /// Panics if the batch was not loaded from nodes or the node count
+    /// differs.
+    pub fn store<'a>(&mut self, nodes: impl ExactSizeIterator<Item = &'a mut Node>) {
+        assert!(self.counting, "store needs lanes loaded from nodes");
+        assert_eq!(nodes.len(), self.n_nodes, "node count mismatch");
+        let n_packages = self.cfg.n_packages;
+        let pk = &mut self.pkgs;
+        for (i, node) in nodes.enumerate() {
+            node.energy_j = self.energy_j[i];
+            for (lane, p) in (i * n_packages..).zip(node.packages.iter_mut()) {
+                let l = &pk.lanes[lane];
+                p.thermal.t_now = l.temp_c;
+                p.thermal.throttling = l.throttling;
+                p.thermal.t_ambient = l.t_ambient_c;
+                p.pstate_req = l.pstate_req;
+                p.uncore_idx = l.uncore_idx;
+                p.duty = l.duty;
+                p.energy_j = l.energy_j;
+                p.counters = CounterBank::from_values(l.counts);
+                p.cap = pk.caps[lane].take();
             }
         }
     }
@@ -299,20 +435,56 @@ impl NodeBatch {
         }
         let id = self.mixes.len();
         self.mixes.push(mix.clone());
+        self.rates.push(CounterRates::of(mix));
         self.mix_index.insert(key, id);
         self.coeffs
             .resize(self.mixes.len() * self.coeff_stride(), None);
         id
     }
 
+    /// The lane indices of `node`.
+    fn lanes_of(&self, node: usize) -> std::ops::Range<usize> {
+        let base = node * self.cfg.n_packages;
+        base..base + self.cfg.n_packages
+    }
+
+    /// The lanes of `node`, mutably.
+    fn lanes_mut(&mut self, node: usize) -> &mut [Lane] {
+        let lanes = self.lanes_of(node);
+        &mut self.pkgs.lanes[lanes]
+    }
+
     /// Request a P-state on every package of `node` (clamped to the table),
     /// mirroring per-package `set_pstate` on the scalar path.
     pub fn set_pstate(&mut self, node: usize, idx: usize) {
         let idx = idx.min(self.top_idx);
-        let base = node * self.cfg.n_packages;
-        for lane in base..base + self.cfg.n_packages {
-            self.pkgs.pstate_req[lane] = idx;
-        }
+        self.lanes_mut(node)
+            .iter_mut()
+            .for_each(|l| l.pstate_req = idx);
+    }
+
+    /// Request the highest P-state at or below `f_ghz` on every package of
+    /// `node`, mirroring [`Node::set_freq_ghz`].
+    pub fn set_freq_ghz(&mut self, node: usize, f_ghz: f64) {
+        let idx = self.cfg.package.pstates.ladder().index_at_or_below(f_ghz);
+        self.lanes_mut(node)
+            .iter_mut()
+            .for_each(|l| l.pstate_req = idx);
+    }
+
+    /// Set the uncore index on every package of `node` (clamped to the
+    /// ladder), mirroring [`Node::set_uncore_idx`].
+    pub fn set_uncore_idx(&mut self, node: usize, idx: usize) {
+        let idx = idx.min(self.top_uncore);
+        self.lanes_mut(node)
+            .iter_mut()
+            .for_each(|l| l.uncore_idx = idx);
+    }
+
+    /// Set duty-cycle modulation on every package of `node`, mirroring
+    /// [`Node::set_duty`].
+    pub fn set_duty(&mut self, node: usize, duty: DutyCycle) {
+        self.lanes_mut(node).iter_mut().for_each(|l| l.duty = duty);
     }
 
     /// Apply a node power cap, replicating [`Node::set_power_cap`] bit for
@@ -321,8 +493,6 @@ impl NodeBatch {
     ///
     /// # Panics
     /// Panics if the cap does not cover platform power.
-    ///
-    /// [`Node::set_power_cap`]: crate::node::Node::set_power_cap
     pub fn set_power_cap(&mut self, node: usize, now: SimTime, cap_w: f64, window: SimDuration) {
         let for_packages = cap_w - self.cfg.misc_power_w;
         assert!(
@@ -331,8 +501,7 @@ impl NodeBatch {
             self.cfg.misc_power_w
         );
         let per_pkg = for_packages / self.cfg.n_packages as f64;
-        let base = node * self.cfg.n_packages;
-        for lane in base..base + self.cfg.n_packages {
+        for lane in self.lanes_of(node) {
             match &mut self.pkgs.caps[lane] {
                 Some((cap, _)) if cap.window() == window => cap.set_cap_w(per_pkg),
                 slot => {
@@ -352,98 +521,161 @@ impl NodeBatch {
         }
     }
 
-    /// Change the ambient (inlet) temperature of every lane, mirroring
-    /// [`ThermalModel::set_ambient_c`] applied to each scalar package: the
-    /// junction temperature floor moves with it.
+    /// Remove every package cap of `node`, mirroring
+    /// [`Node::clear_power_cap`].
+    pub fn clear_power_cap(&mut self, node: usize) {
+        let lanes = self.lanes_of(node);
+        self.pkgs.caps[lanes].fill_with(|| None);
+    }
+
+    /// Change the ambient (inlet) temperature of every package of `node`,
+    /// mirroring [`Node::set_ambient_c`]: the junction temperature floor
+    /// moves with it.
     ///
     /// # Panics
     /// Panics if the ambient reaches the throttle point.
-    pub fn set_ambient_c(&mut self, t_ambient: f64) {
+    pub fn set_ambient_c(&mut self, node: usize, t_ambient: f64) {
         assert!(
             t_ambient < self.thermal.t_throttle,
             "ambient must stay below the throttle point"
         );
-        let delta = t_ambient - self.thermal.t_ambient;
-        self.thermal.t_ambient = t_ambient;
-        self.pkgs.temp_c.iter_mut().for_each(|t| *t += delta);
+        for l in self.lanes_mut(node) {
+            let delta = t_ambient - l.t_ambient_c;
+            l.t_ambient_c = t_ambient;
+            l.temp_c += delta;
+        }
     }
 
     /// True if any package of `node` currently holds a cap.
     pub fn has_cap(&self, node: usize) -> bool {
-        let base = node * self.cfg.n_packages;
-        self.pkgs.caps[base..base + self.cfg.n_packages]
+        self.pkgs.caps[self.lanes_of(node)]
             .iter()
             .any(|c| c.is_some())
     }
 
+    /// The node-level cap implied by package caps, if every package of
+    /// `node` is capped (matches [`Node::power_cap_w`]).
+    pub fn power_cap_w(&self, node: usize) -> Option<f64> {
+        let mut total = self.cfg.misc_power_w;
+        for slot in &self.pkgs.caps[self.lanes_of(node)] {
+            total += slot.as_ref()?.0.cap_w();
+        }
+        Some(total)
+    }
+
     /// Total energy consumed by `node`, joules (matches [`Node::energy_j`]).
-    ///
-    /// [`Node::energy_j`]: crate::node::Node::energy_j
     pub fn energy_j(&self, node: usize) -> f64 {
         self.energy_j[node]
     }
 
-    /// Hottest package temperature of `node`, °C.
+    /// Hottest package temperature of `node`, °C (matches
+    /// [`Node::max_temperature_c`]).
     pub fn max_temperature_c(&self, node: usize) -> f64 {
-        let base = node * self.cfg.n_packages;
-        self.pkgs.temp_c[base..base + self.cfg.n_packages]
+        self.pkgs.lanes[self.lanes_of(node)]
             .iter()
-            .copied()
+            .map(|l| l.temp_c)
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Memoized decay factor `exp(-dt_s / τ)`; bit-identical to the scalar
-    /// `ThermalModel::advance` computation for any previously seen `dt_s`.
-    fn decay(&mut self, dt_s: f64) -> f64 {
-        let bits = dt_s.to_bits();
-        if self.last_decay.0 == bits {
-            return self.last_decay.1;
-        }
-        let d = match self.exp_memo.get(&bits) {
-            Some(&d) => d,
-            None => {
-                let d = (-dt_s / self.tau_s).exp();
-                self.exp_memo.insert(bits, d);
-                d
-            }
-        };
-        self.last_decay = (bits, d);
-        d
+    /// Effective core frequency of `node` (mean across packages), GHz
+    /// (matches [`Node::effective_freq_ghz`]).
+    pub fn effective_freq_ghz(&self, node: usize) -> f64 {
+        let pstates = &self.cfg.package.pstates;
+        let sum: f64 = self
+            .lanes_of(node)
+            .map(|lane| pstates.freq(self.effective_pstate(lane)))
+            .sum();
+        sum / self.cfg.n_packages as f64
     }
 
-    /// Dense-table slots per mix: one per P-state (active count is a tag).
+    /// Sum of a counter across the packages of `node` (matches
+    /// [`Node::counter`]; zero on reset lanes, which keep no counters).
+    pub fn counter(&self, node: usize, kind: CounterKind) -> f64 {
+        let k = ALL_COUNTERS
+            .iter()
+            .position(|&c| c == kind)
+            .expect("every kind is counted");
+        self.pkgs.lanes[self.lanes_of(node)]
+            .iter()
+            .map(|l| l.counts[k])
+            .sum()
+    }
+
+    /// The derived values of a sub-step of length `dt`, computed with the
+    /// scalar path's expressions when the length changes.
+    fn tick(&mut self, dt: SimDuration) -> Tick {
+        if self.tick.dt != dt {
+            let dt_s = dt.as_secs_f64();
+            self.tick = Tick {
+                dt,
+                dt_s,
+                dt_us: dt.as_micros() as f64,
+                decay: (-dt_s / self.tau_s).exp(),
+            };
+        }
+        self.tick
+    }
+
+    /// Dense-table slots per mix: one per P-state (the rest is a tag).
     fn coeff_stride(&self) -> usize {
         self.top_idx + 1
     }
 
-    /// Operating-point coefficients, computed on miss by the scalar model.
-    /// `idx` is an *effective* (clamped) P-state and `active` a per-package
-    /// core count, so the dense index is always in bounds.
-    fn coeff(&mut self, mix_id: usize, idx: usize, active: usize) -> Coeff {
-        let slot = mix_id * (self.top_idx + 1) + idx;
-        if let Some((a, c)) = self.coeffs[slot] {
-            if a == active {
-                return c;
-            }
+    /// The table slot holding the operating-point coefficients of `lane`
+    /// running `mix_id` on `active` cores at its effective P-state, filled
+    /// by the scalar model on a miss. The effective P-state is clamped and
+    /// `active` a per-package core count, so the dense index is always in
+    /// bounds. Callers read the coefficients in place, where they stay: a
+    /// copy of them spilled to the stack cost a store-forwarding stall per
+    /// package step.
+    #[inline(always)]
+    fn coeff_slot(&mut self, lane: usize, mix_id: usize, active: usize) -> usize {
+        let idx = self.effective_pstate(lane);
+        let l = &self.pkgs.lanes[lane];
+        let tag = Tag {
+            active,
+            uncore: l.uncore_idx,
+            duty: l.duty,
+        };
+        let slot = mix_id * self.coeff_stride() + idx;
+        match &self.coeffs[slot] {
+            Some((t, _)) if *t == tag => {}
+            _ => self.fill_coeff(slot, mix_id, idx, tag),
         }
+        slot
+    }
+
+    /// The coefficients in a slot [`coeff_slot`](NodeBatch::coeff_slot)
+    /// returned.
+    fn coeff(&self, slot: usize) -> &Coeff {
+        match &self.coeffs[slot] {
+            Some((_, c)) => c,
+            None => unreachable!("coefficient slot {slot} was filled"),
+        }
+    }
+
+    /// Compute and keep the coefficients of a slot that missed.
+    #[cold]
+    #[inline(never)]
+    fn fill_coeff(&mut self, slot: usize, mix_id: usize, idx: usize, tag: Tag) {
         let mix = &self.mixes[mix_id];
         let pk = &self.cfg.package;
         let freq_ghz = pk.pstates.freq(idx);
-        let speed = pk
-            .speed
-            .speed(mix, freq_ghz, self.uncore_ghz, DutyCycle::FULL);
+        let uncore_ghz = pk.uncore.freq(tag.uncore);
+        let speed = pk.speed.speed(mix, freq_ghz, uncore_ghz, tag.duty);
         let core_dyn_w = pk
             .power
-            .core_dynamic_w(&pk.pstates, idx, DutyCycle::FULL, active, mix);
-        let dram_w = pk.power.dram_w(mix, speed);
+            .core_dynamic_w(&pk.pstates, idx, tag.duty, tag.active, mix);
         let c = Coeff {
             speed,
+            rate: speed * tag.active as f64 / pk.n_cores as f64,
+            share: tag.active as f64 / pk.n_cores as f64,
             core_dyn_w,
-            dram_w,
+            uncore_w: pk.power.uncore_w(uncore_ghz),
+            dram_w: pk.power.dram_w(mix, speed),
             freq_ghz,
         };
-        self.coeffs[slot] = Some((active, c));
-        c
+        self.coeffs[slot] = Some((tag, c));
     }
 
     /// Effective P-state of a lane after cap and thermal clamps (same
@@ -451,40 +683,34 @@ impl NodeBatch {
     ///
     /// [`Package::effective_pstate`]: crate::package::Package::effective_pstate
     fn effective_pstate(&self, lane: usize) -> usize {
-        let mut idx = self.pkgs.pstate_req[lane];
-        if let Some((cap, _)) = &self.pkgs.caps[lane] {
-            idx = idx.min(cap.allowed_idx());
+        let l = &self.pkgs.lanes[lane];
+        if l.throttling {
+            return 0;
         }
-        if self.pkgs.throttling.get(lane) {
-            idx = 0;
+        match &self.pkgs.caps[lane] {
+            Some((cap, _)) => l.pstate_req.min(cap.allowed_idx()),
+            None => l.pstate_req,
         }
-        idx
     }
 
     /// Work rate of `node` (work units per second), bit-identical to
     /// [`Node::work_rate`] at the same state.
-    ///
-    /// [`Node::work_rate`]: crate::node::Node::work_rate
     pub fn work_rate(&mut self, node: usize, mix_id: usize, active_cores: usize) -> f64 {
         let n_cores = self.cfg.package.n_cores;
         let mut remaining = active_cores.min(self.cfg.total_cores());
-        let base = node * self.cfg.n_packages;
         let mut sum = 0.0;
-        for lane in base..base + self.cfg.n_packages {
+        for lane in self.lanes_of(node) {
             let n = remaining.min(n_cores);
             remaining -= n;
-            let idx = self.effective_pstate(lane);
-            let c = self.coeff(mix_id, idx, n);
-            sum += c.speed * n as f64 / n_cores as f64;
+            let slot = self.coeff_slot(lane, mix_id, n);
+            sum += self.coeff(slot).rate;
         }
         sum / self.cfg.n_packages as f64
     }
 
     /// Advance `node` by `dt` running mix `mix_id` on `active_cores`,
-    /// bit-identical to [`Node::step`] at the same state (counters excepted —
-    /// the batch keeps none).
-    ///
-    /// [`Node::step`]: crate::node::Node::step
+    /// bit-identical to [`Node::step`] at the same state (counters and
+    /// package energy included on loaded lanes).
     pub fn step(
         &mut self,
         node: usize,
@@ -528,34 +754,68 @@ impl NodeBatch {
     ) -> (StepOutput, bool) {
         let n_cores = self.cfg.package.n_cores;
         let n_packages = self.cfg.n_packages;
-        let dt_s = dt.as_secs_f64();
-        let decay = self.decay(dt_s);
+        let tick = self.tick(dt);
+        let th = &self.thermal;
+        let (r_th, t_throttle, t_release) = (th.r_th, th.t_throttle, th.t_throttle - th.hysteresis);
         let mut remaining = active_cores.min(self.cfg.total_cores());
-        let base = node * n_packages;
         let mut work = 0.0;
         let mut power = self.cfg.misc_power_w;
         let mut freq = 0.0;
         let mut throttled = false;
         let mut cap_changed = false;
-        for lane in base..base + n_packages {
+        for lane in self.lanes_of(node) {
             let n = remaining.min(n_cores);
             remaining -= n;
-            let idx = self.effective_pstate(lane);
-            let c = self.coeff(mix_id, idx, n);
-            // Same association as the scalar `Package::power_w`:
-            // ((core_dyn + leak) + uncore) + dram, with the ×1.0 nominal
-            // variation factors elided (bitwise identity).
-            let leak = self.cfg.package.power.leakage_w(self.pkgs.temp_c[lane]);
-            let p_w = c.core_dyn_w + leak + self.uncore_w + c.dram_w;
-            // Exact RC advance with the memoized decay factor.
-            let t_inf = self.thermal.t_ambient + p_w * self.thermal.r_th;
-            let t_now = t_inf + (self.pkgs.temp_c[lane] - t_inf) * decay;
-            self.pkgs.temp_c[lane] = t_now;
-            if t_now >= self.thermal.t_throttle {
-                self.pkgs.throttling.set(lane, true);
-            } else if t_now <= self.thermal.t_throttle - self.thermal.hysteresis {
-                self.pkgs.throttling.set(lane, false);
+            let slot = self.coeff_slot(lane, mix_id, n);
+            let Some((_, c)) = &self.coeffs[slot] else {
+                unreachable!("coefficient slot {slot} was filled")
+            };
+            let l = &mut self.pkgs.lanes[lane];
+            // Same association as the scalar `Package::power_at`:
+            // ((core_dyn·var + leak·var) + uncore) + dram.
+            let leak = self.cfg.package.power.leakage_w(l.temp_c);
+            let p_w = c.core_dyn_w * l.variation.dynamic
+                + leak * l.variation.leakage
+                + c.uncore_w
+                + c.dram_w;
+            // Exact RC advance with the kept decay factor.
+            let t_inf = l.t_ambient_c + p_w * r_th;
+            l.temp_c = t_inf + (l.temp_c - t_inf) * tick.decay;
+            if l.temp_c >= t_throttle {
+                l.throttling = true;
+            } else if l.temp_c <= t_release {
+                l.throttling = false;
             }
+            let w = c.speed * tick.dt_s * c.share;
+            if self.counting {
+                // The increments of `Package::step`, in its order, checked
+                // as `CounterBank::add_all` checks them — finite and
+                // non-negative (NaN lies in no range) — but with one
+                // vectorizable test for all eight.
+                let r = &self.rates[mix_id];
+                l.energy_j += p_w * tick.dt_s;
+                let inc = [
+                    w * r.instructions,
+                    c.freq_ghz * 1e9 * tick.dt_s * l.duty.fraction() * c.share,
+                    w * r.flops,
+                    w * r.mem_intensity * 1e9,
+                    r.comm * tick.dt_us,
+                    0.8 * r.comm * tick.dt_us,
+                    r.io * tick.dt_us,
+                    w,
+                ];
+                let valid = inc
+                    .iter()
+                    .fold(true, |ok, &a| ok & (0.0..=f64::MAX).contains(&a));
+                if !valid {
+                    // Panics with the counter bank's message.
+                    CounterBank::new().add_all(&inc, 1);
+                }
+                for (count, a) in l.counts.iter_mut().zip(inc) {
+                    *count += a;
+                }
+            }
+            throttled |= l.throttling;
             // RAPL bookkeeping + one control action, as in `Package::step`.
             if let Some((cap, win)) = &mut self.pkgs.caps[lane] {
                 win.record(now, p_w);
@@ -566,13 +826,11 @@ impl NodeBatch {
                     cap_changed |= cap.allowed_idx() != before;
                 }
             }
-            let share = n as f64 / n_cores as f64;
-            work += c.speed * dt_s * share;
+            work += w;
             power += p_w;
             freq += c.freq_ghz;
-            throttled |= self.pkgs.throttling.get(lane);
         }
-        self.energy_j[node] += power * dt_s;
+        self.energy_j[node] += power * tick.dt_s;
         let out = StepOutput {
             work: work / n_packages as f64,
             power_w: power,
@@ -592,22 +850,6 @@ mod tests {
         let mut b = NodeBatch::new(NodeConfig::server_default());
         b.reset(1, None, SimDuration::from_millis(10));
         b
-    }
-
-    #[test]
-    fn bitset_round_trip() {
-        let mut bs = Bitset::default();
-        bs.reset(130);
-        assert_eq!(bs.len(), 130);
-        bs.set(0, true);
-        bs.set(64, true);
-        bs.set(129, true);
-        assert!(bs.get(0) && bs.get(64) && bs.get(129));
-        assert!(!bs.get(1) && !bs.get(63) && !bs.get(128));
-        bs.set(64, false);
-        assert!(!bs.get(64));
-        bs.reset(130);
-        assert!(!bs.get(0) && !bs.get(129));
     }
 
     #[test]
@@ -637,6 +879,64 @@ mod tests {
         assert!(b.has_cap(0) && b.has_cap(1));
         b.reset(2, None, SimDuration::from_millis(10));
         assert!(!b.has_cap(0));
+    }
+
+    /// Loading nodes into lanes and storing them back without a step leaves
+    /// every node as it was, bit for bit: thermal state and latch, ambient,
+    /// knobs, counters, package and node energy, and the cap controller and
+    /// RAPL window, which travel by move.
+    #[test]
+    fn load_then_store_leaves_nodes_unchanged() {
+        use crate::node::NodeId;
+        use crate::variation::VariationModel;
+        use pstack_sim::SeedTree;
+        let cfg = NodeConfig::server_default();
+        let seeds = SeedTree::new(17);
+        let mix = PhaseMix::new(0.5, 0.3, 0.1, 0.1);
+        let window = SimDuration::from_millis(10);
+        let mut nodes: Vec<Node> = (0..3)
+            .map(|i| Node::new(NodeId(i), cfg.clone(), &VariationModel::typical(), &seeds))
+            .collect();
+        // Give each node distinct state: a hot inlet, knobs, a cap whose
+        // controller has moved and whose window holds several steps.
+        let mut t = SimTime::ZERO;
+        for (i, n) in nodes.iter_mut().enumerate() {
+            n.set_ambient_c(30.0 + 20.0 * i as f64);
+            n.set_freq_ghz(2.0 + 0.5 * i as f64);
+            n.set_uncore_idx(3 + i);
+            n.set_duty(DutyCycle::new(10 + i as u8));
+            if i != 1 {
+                n.set_power_cap(SimTime::ZERO, 260.0 + 20.0 * i as f64, window);
+            }
+        }
+        for _ in 0..40 {
+            for n in &mut nodes {
+                n.step(t, SimDuration::from_millis(3), &mix, 40);
+            }
+            t += SimDuration::from_millis(3);
+        }
+        let before: Vec<String> = nodes.iter().map(|n| format!("{n:?}")).collect();
+        assert!(before[0].contains("PowerCap"), "node 0 carries a cap");
+        let mut b = NodeBatch::new(cfg);
+        for round in 0..2 {
+            b.load(nodes.iter_mut());
+            assert_eq!(b.n_nodes(), 3);
+            for (i, n) in nodes.iter().enumerate() {
+                assert!(n.power_cap_w().is_none(), "the cap moved into the lanes");
+                assert_eq!(b.has_cap(i), i != 1);
+            }
+            b.store(nodes.iter_mut());
+            let after: Vec<String> = nodes.iter().map(|n| format!("{n:?}")).collect();
+            assert_eq!(before, after, "round {round}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "loaded from nodes")]
+    fn storing_reset_lanes_panics() {
+        let mut node =
+            crate::node::Node::nominal(crate::node::NodeId(0), NodeConfig::server_default());
+        batch().store(std::iter::once(&mut node));
     }
 
     #[test]

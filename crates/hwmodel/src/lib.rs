@@ -17,8 +17,9 @@
 //!   to honour a watts budget over a time window.
 //! - [`package`] / [`node`]: composition into sockets and nodes, with exact
 //!   energy integration and performance-counter updates per simulation step.
-//! - [`batch`]: batched structure-of-arrays stepping of many nodes — the
-//!   evaluation fast path, bit-identical to the scalar node at nominal knobs.
+//! - [`batch`]: batched stepping of many nodes over flat package lanes —
+//!   the node engine of running jobs and of the evaluation fast path,
+//!   bit-identical to the scalar node.
 //!
 //! All models are deliberately first-order but preserve the monotone trade-offs
 //! every surveyed tuner exploits: higher frequency → more power, superlinearly;
@@ -38,7 +39,7 @@ pub mod pstate;
 pub mod thermal;
 pub mod variation;
 
-pub use batch::{Bitset, NodeBatch, PackageBatch};
+pub use batch::{NodeBatch, PackageBatch};
 pub use cap::{PowerCap, RaplWindow};
 pub use invariants::{invariants, power_envelope, PowerEnvelope};
 pub use node::{Node, NodeConfig, NodeId, StepOutput};

@@ -21,7 +21,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Static node configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeConfig {
     /// Number of packages (sockets).
     pub n_packages: usize,
@@ -68,8 +68,8 @@ pub struct StepOutput {
 pub struct Node {
     id: NodeId,
     cfg: NodeConfig,
-    packages: Vec<Package>,
-    energy_j: f64,
+    pub(crate) packages: Vec<Package>,
+    pub(crate) energy_j: f64,
 }
 
 impl Node {

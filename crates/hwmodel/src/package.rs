@@ -13,7 +13,7 @@ use pstack_telemetry::CounterBank;
 use serde::{Deserialize, Serialize};
 
 /// Static configuration of a package.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PackageConfig {
     /// Number of cores.
     pub n_cores: usize,
@@ -54,22 +54,26 @@ pub struct PackageStep {
 }
 
 /// Dynamic state of one package.
+///
+/// The dynamic fields are visible to the crate so that
+/// [`NodeBatch`](crate::batch::NodeBatch) can move a package's state into
+/// its lanes and back.
 #[derive(Debug, Clone)]
 pub struct Package {
     cfg: PackageConfig,
-    variation: VariationFactors,
-    thermal: ThermalModel,
+    pub(crate) variation: VariationFactors,
+    pub(crate) thermal: ThermalModel,
     /// Requested P-state index (the DVFS knob).
-    pstate_req: usize,
+    pub(crate) pstate_req: usize,
     /// Uncore frequency index (the UFS knob).
-    uncore_idx: usize,
+    pub(crate) uncore_idx: usize,
     /// Duty-cycle modulation (the clock-modulation knob).
-    duty: DutyCycle,
+    pub(crate) duty: DutyCycle,
     /// Optional RAPL cap + its measurement window.
-    cap: Option<(PowerCap, RaplWindow)>,
-    counters: CounterBank,
+    pub(crate) cap: Option<(PowerCap, RaplWindow)>,
+    pub(crate) counters: CounterBank,
     /// Energy consumed so far, joules.
-    energy_j: f64,
+    pub(crate) energy_j: f64,
 }
 
 impl Package {

@@ -24,9 +24,9 @@ pub struct ThermalModel {
     /// Hysteresis: throttling releases below `t_throttle - hysteresis`.
     pub hysteresis: f64,
     /// Current junction temperature, °C.
-    t_now: f64,
+    pub(crate) t_now: f64,
     /// Whether the package is currently throttling.
-    throttling: bool,
+    pub(crate) throttling: bool,
 }
 
 impl ThermalModel {

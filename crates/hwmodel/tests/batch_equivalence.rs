@@ -1,18 +1,25 @@
-//! Scalar-oracle equivalence for the batched SoA fast path.
+//! Scalar-oracle equivalence for the batched node lanes.
 //!
 //! `NodeBatch` claims *bit* identity with `Node::step` / `Node::work_rate`
-//! for the nominal-knob configuration. These property tests drive both
+//! and the node's readings. These property tests drive both
 //! implementations through identical random sequences of phase mixes, active
-//! core counts, tick lengths, P-state requests and cap applications —
-//! including sequences hot enough to cross the 95 °C throttle threshold and
-//! cool back through the 90 °C hysteresis release — and compare every output
-//! with `f64::to_bits`.
+//! core counts, tick lengths and knob writes — including sequences hot
+//! enough to cross the 95 °C throttle threshold and cool back through the
+//! 90 °C hysteresis release — and compare every output with `f64::to_bits`:
+//! on one fresh nominal node (the evaluation arena's lanes, filled by
+//! `reset`), and on fleet nodes with manufacturing variation and a thermal
+//! gradient loaded into lanes (a running job's lanes, filled by `load`),
+//! whose counters, package energy and cap controllers must match too.
 
 #![allow(clippy::disallowed_methods)]
 
 use proptest::prelude::*;
-use pstack_hwmodel::{Node, NodeBatch, NodeConfig, NodeId, PhaseKind, PhaseMix, ThermalModel};
-use pstack_sim::{SimDuration, SimTime};
+use pstack_hwmodel::{
+    DutyCycle, Node, NodeBatch, NodeConfig, NodeId, PhaseKind, PhaseMix, ThermalModel,
+    VariationModel,
+};
+use pstack_sim::{SeedTree, SimDuration, SimTime};
+use pstack_telemetry::counters::ALL_COUNTERS;
 
 /// One scripted action applied identically to both implementations.
 #[derive(Debug, Clone)]
@@ -29,6 +36,31 @@ enum Action {
     SetCap(f64),
 }
 
+/// A random step: a phase mix, an active core count and a tick length.
+fn random_step(rng: &mut proptest::TestRng) -> (PhaseMix, usize, u64) {
+    use rand::Rng;
+    let mix = match rng.gen_range(0u32..5) {
+        0 => PhaseMix::pure(PhaseKind::ComputeBound),
+        1 => PhaseMix::pure(PhaseKind::MemoryBound),
+        2 => PhaseMix::pure(PhaseKind::CommBound),
+        3 => PhaseMix::pure(PhaseKind::IoBound),
+        _ => PhaseMix::new(
+            rng.gen_range(1u32..9) as f64,
+            rng.gen_range(1u32..9) as f64,
+            rng.gen_range(1u32..9) as f64,
+            rng.gen_range(1u32..9) as f64,
+        ),
+    };
+    let active = [0usize, 1, 6, 24, 30, 48, 64][rng.gen_range(0usize..7)];
+    // 1 µs .. 60 s spans the driver's substep range and beyond.
+    let dt_us = match rng.gen_range(0u32..3) {
+        0 => rng.gen_range(1u64..250_001),
+        1 => 250_000,
+        _ => rng.gen_range(250_000u64..60_000_001),
+    };
+    (mix, active, dt_us)
+}
+
 /// Custom strategy (the vendored proptest stand-in has no `prop_oneof` /
 /// `prop_map`): mostly steps, with occasional P-state requests and cap
 /// applications mixed in.
@@ -43,25 +75,7 @@ impl Strategy for ActionStrategy {
             0 => Action::SetPstate(rng.gen_range(0usize..31)),
             1 => Action::SetCap(rng.gen_range(100.0f64..440.0)),
             _ => {
-                let mix = match rng.gen_range(0u32..5) {
-                    0 => PhaseMix::pure(PhaseKind::ComputeBound),
-                    1 => PhaseMix::pure(PhaseKind::MemoryBound),
-                    2 => PhaseMix::pure(PhaseKind::CommBound),
-                    3 => PhaseMix::pure(PhaseKind::IoBound),
-                    _ => PhaseMix::new(
-                        rng.gen_range(1u32..9) as f64,
-                        rng.gen_range(1u32..9) as f64,
-                        rng.gen_range(1u32..9) as f64,
-                        rng.gen_range(1u32..9) as f64,
-                    ),
-                };
-                let active = [0usize, 1, 6, 24, 30, 48, 64][rng.gen_range(0usize..7)];
-                // 1 µs .. 60 s spans the driver's substep range and beyond.
-                let dt_us = match rng.gen_range(0u32..3) {
-                    0 => rng.gen_range(1u64..250_001),
-                    1 => 250_000,
-                    _ => rng.gen_range(250_000u64..60_000_001),
-                };
+                let (mix, active, dt_us) = random_step(rng);
                 Action::Step { mix, active, dt_us }
             }
         }
@@ -156,8 +170,8 @@ proptest! {
         check_equivalence(Some(cap), script);
     }
 
-    /// The memoized decay factor reproduces the scalar `ThermalModel` exactly
-    /// for arbitrary power/tick sequences.
+    /// The decay expression the lanes use reproduces the scalar
+    /// `ThermalModel` exactly for arbitrary power/tick sequences.
     #[test]
     fn thermal_memo_is_exact(
         seq in prop::collection::vec((0.0f64..500.0, 1u64..120_000_001), 1..64),
@@ -196,7 +210,7 @@ fn throttle_hysteresis_crossing_matches() {
     // Hot inlet so the compute mix can actually reach 95 °C (steady state
     // ≈ 70 + 155·0.25 ≈ 109 °C per package).
     node.set_ambient_c(70.0);
-    batch.set_ambient_c(70.0);
+    batch.set_ambient_c(0, 70.0);
     let mix = PhaseMix::pure(PhaseKind::ComputeBound);
     let mix_id = batch.register_mix(&mix);
     let dt = SimDuration::from_millis(250);
@@ -230,5 +244,245 @@ fn throttle_hysteresis_crossing_matches() {
         node.energy_j().to_bits(),
         batch.energy_j(0).to_bits(),
         "energy must agree across the full throttle cycle"
+    );
+}
+
+/// One scripted action on a fleet: a step of every node, or a knob write
+/// to one node.
+#[derive(Debug, Clone)]
+enum FleetAction {
+    /// Advance every node by `dt_us` running `mix` on `active` cores.
+    Step {
+        mix: PhaseMix,
+        active: usize,
+        dt_us: u64,
+    },
+    /// Set (`Some`) or release (`None`) a node's frequency limit, GHz.
+    FreqLimit(usize, Option<f64>),
+    /// Set or release a node's MPI frequency override, GHz.
+    MpiOverride(usize, Option<f64>),
+    /// Set a node's uncore index (out-of-range indices clamp).
+    Uncore(usize, usize),
+    /// Set a node's duty cycle, sixteenths.
+    Duty(usize, u8),
+    /// Set a node power cap (watts) over a window (ms): a new cap, or a
+    /// retarget of one with the same window.
+    Cap(usize, f64, u64),
+    /// Clear a node's power cap.
+    ClearCap(usize),
+}
+
+/// Fleet scripts over `n` nodes: mostly steps, with knob writes of every
+/// kind to random nodes.
+struct FleetStrategy(usize);
+
+impl Strategy for FleetStrategy {
+    type Value = FleetAction;
+
+    fn generate(&self, rng: &mut proptest::TestRng) -> FleetAction {
+        use rand::Rng;
+        let node = rng.gen_range(0..self.0);
+        let ghz = |rng: &mut proptest::TestRng| {
+            rng.gen_bool(0.7)
+                .then(|| [0.8, 1.2, 1.55, 2.0, 2.4, 2.85, 3.5, 4.0][rng.gen_range(0usize..8)])
+        };
+        match rng.gen_range(0u32..14) {
+            0 => FleetAction::FreqLimit(node, ghz(rng)),
+            1 => FleetAction::MpiOverride(node, ghz(rng)),
+            2 => FleetAction::Uncore(node, rng.gen_range(0usize..12)),
+            3 => FleetAction::Duty(node, rng.gen_range(1u8..17)),
+            4 | 5 => FleetAction::Cap(
+                node,
+                rng.gen_range(100.0f64..440.0),
+                [1u64, 10, 10, 100][rng.gen_range(0usize..4)],
+            ),
+            6 => FleetAction::ClearCap(node),
+            _ => {
+                let (mix, active, dt_us) = random_step(rng);
+                FleetAction::Step { mix, active, dt_us }
+            }
+        }
+    }
+}
+
+/// Every reading of a node's state, each float as its bits.
+fn readings(energy: f64, temp: f64, freq: f64, cap: Option<f64>, counters: [f64; 8]) -> Vec<u64> {
+    let mut v = vec![
+        energy.to_bits(),
+        temp.to_bits(),
+        freq.to_bits(),
+        cap.map_or(u64::MAX, f64::to_bits),
+    ];
+    v.extend(counters.iter().map(|c| c.to_bits()));
+    v
+}
+
+/// Run a script over a fleet of `n` nodes with manufacturing variation and
+/// an inlet gradient from 25 to 72 °C, once on scalar nodes and once on a
+/// copy loaded into lanes. Every step's outputs and work rates, and every
+/// node reading after it, must agree bit for bit; every few actions the
+/// lanes are stored back and the whole node — package temperatures,
+/// throttle latches, knobs, counters, package energy, cap controllers and
+/// RAPL windows — must equal its scalar twin, then they are loaded again.
+/// Returns the throttle flag of every node step, in order.
+fn check_fleet(seed: u64, n: usize, script: Vec<FleetAction>) -> Vec<bool> {
+    let cfg = NodeConfig::server_default();
+    let seeds = SeedTree::new(seed);
+    let mut scalar: Vec<Node> = (0..n)
+        .map(|i| {
+            let mut node = Node::new(NodeId(i), cfg.clone(), &VariationModel::typical(), &seeds);
+            node.set_ambient_c(25.0 + 47.0 * i as f64 / (n - 1).max(1) as f64);
+            node
+        })
+        .collect();
+    let mut laned = scalar.clone();
+    let mut batch = NodeBatch::new(cfg.clone());
+    batch.load(laned.iter_mut());
+    // The frequency bookkeeping `NodeManager` keeps: a governor limit and
+    // an MPI override, applied as the lower of the two.
+    let mut freq_knobs = vec![(None::<f64>, None::<f64>); n];
+    let top_ghz = cfg.package.pstates.ladder().max();
+    let mut throttled = Vec::new();
+    let mut t = SimTime::ZERO;
+    for (k, action) in script.into_iter().enumerate() {
+        match action {
+            FleetAction::Step { mix, active, dt_us } => {
+                let dt = SimDuration::from_micros(dt_us);
+                let mix_id = batch.register_mix(&mix);
+                for (i, node) in scalar.iter_mut().enumerate() {
+                    let rate = (
+                        node.work_rate(&mix, active),
+                        batch.work_rate(i, mix_id, active),
+                    );
+                    assert_eq!(
+                        rate.0.to_bits(),
+                        rate.1.to_bits(),
+                        "rate, action {k} node {i}"
+                    );
+                    let s = node.step(t, dt, &mix, active);
+                    let b = batch.step(i, t, dt, mix_id, active);
+                    assert_eq!(
+                        [s.work, s.power_w, s.effective_freq_ghz].map(f64::to_bits),
+                        [b.work, b.power_w, b.effective_freq_ghz].map(f64::to_bits),
+                        "step output, action {k} node {i}"
+                    );
+                    assert_eq!(s.throttled, b.throttled, "throttle, action {k} node {i}");
+                    throttled.push(s.throttled);
+                    assert_eq!(
+                        readings(
+                            node.energy_j(),
+                            node.max_temperature_c(),
+                            node.effective_freq_ghz(),
+                            node.power_cap_w(),
+                            ALL_COUNTERS.map(|c| node.counter(c)),
+                        ),
+                        readings(
+                            batch.energy_j(i),
+                            batch.max_temperature_c(i),
+                            batch.effective_freq_ghz(i),
+                            batch.power_cap_w(i),
+                            ALL_COUNTERS.map(|c| batch.counter(i, c)),
+                        ),
+                        "readings, action {k} node {i}"
+                    );
+                }
+                t += dt;
+            }
+            FleetAction::FreqLimit(i, ghz) | FleetAction::MpiOverride(i, ghz) => {
+                match action {
+                    FleetAction::FreqLimit(..) => freq_knobs[i].0 = ghz,
+                    _ => freq_knobs[i].1 = ghz,
+                }
+                let (limit, over) = freq_knobs[i];
+                let base = limit.unwrap_or(top_ghz);
+                let eff = over.map_or(base, |ov| base.min(ov));
+                scalar[i].set_freq_ghz(eff);
+                batch.set_freq_ghz(i, eff);
+            }
+            FleetAction::Uncore(i, idx) => {
+                scalar[i].set_uncore_idx(idx);
+                batch.set_uncore_idx(i, idx);
+            }
+            FleetAction::Duty(i, level) => {
+                scalar[i].set_duty(DutyCycle::new(level));
+                batch.set_duty(i, DutyCycle::new(level));
+            }
+            FleetAction::Cap(i, cap_w, window_ms) => {
+                let window = SimDuration::from_millis(window_ms);
+                scalar[i].set_power_cap(t, cap_w, window);
+                batch.set_power_cap(i, t, cap_w, window);
+            }
+            FleetAction::ClearCap(i) => {
+                scalar[i].clear_power_cap();
+                batch.clear_power_cap(i);
+            }
+        }
+        if k % 5 == 4 {
+            batch.store(laned.iter_mut());
+            for (i, (s, l)) in scalar.iter().zip(&laned).enumerate() {
+                assert_eq!(
+                    format!("{s:?}"),
+                    format!("{l:?}"),
+                    "stored node {i}, action {k}"
+                );
+            }
+            batch.load(laned.iter_mut());
+        }
+    }
+    batch.store(laned.iter_mut());
+    for (i, (s, l)) in scalar.iter().zip(&laned).enumerate() {
+        assert_eq!(
+            format!("{s:?}"),
+            format!("{l:?}"),
+            "stored node {i} at the end"
+        );
+    }
+    throttled
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Fleet nodes loaded into lanes track their scalar twins through
+    /// random steps and every knob, counters and cap controllers included.
+    #[test]
+    fn fleet_lanes_match_scalar_nodes(
+        seed in 0u64..1_000_000,
+        script in prop::collection::vec(FleetStrategy(3), 1..60),
+    ) {
+        check_fleet(seed, 3, script);
+    }
+}
+
+/// A deterministic hot fleet: sustained compute on the hot end of the
+/// gradient crosses the throttle point and releases it under every knob,
+/// and the lanes follow the scalar nodes through it.
+#[test]
+fn fleet_lanes_follow_a_throttle_cycle_under_knobs() {
+    let compute = PhaseMix::pure(PhaseKind::ComputeBound);
+    let idle = PhaseMix::pure(PhaseKind::IoBound);
+    let step = |mix: &PhaseMix, active, dt_us| FleetAction::Step {
+        mix: mix.clone(),
+        active,
+        dt_us,
+    };
+    let mut script = vec![
+        FleetAction::Uncore(1, 4),
+        FleetAction::Duty(0, 12),
+        FleetAction::Cap(0, 300.0, 10),
+        FleetAction::FreqLimit(1, Some(2.4)),
+        FleetAction::MpiOverride(1, Some(1.2)),
+    ];
+    script.extend((0..400).map(|_| step(&compute, 48, 250_000)));
+    script.push(FleetAction::Cap(0, 280.0, 10));
+    script.push(FleetAction::MpiOverride(1, None));
+    script.extend((0..400).map(|_| step(&compute, 48, 250_000)));
+    script.push(FleetAction::ClearCap(0));
+    script.extend((0..400).map(|_| step(&idle, 0, 250_000)));
+    let throttled = check_fleet(5, 3, script);
+    assert!(throttled.iter().any(|&t| t), "the hot node must throttle");
+    assert!(
+        !throttled[throttled.len() - 3..].iter().any(|&t| t),
+        "and release"
     );
 }

@@ -10,8 +10,9 @@
 //!   power-history recording, per-step accounting.
 //! - [`lockstep`]: [`Lockstep`] — one job's phase program across its nodes
 //!   with MPI barrier semantics, one sub-step at a time, over any
-//!   [`StepBackend`]; the kernel under both job drivers (scalar nodes with
-//!   runtime agents, and the agent-free SoA lanes of the tuning fast path).
+//!   [`StepBackend`]; the kernel under every job driver (a running job's
+//!   lanes with runtime agents, the tuning fast path's agent-free lanes,
+//!   and the scalar reference nodes of `simulate_app`).
 
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
@@ -21,6 +22,6 @@ pub mod manager;
 pub mod signals;
 
 pub use invariants::invariants;
-pub use lockstep::{Activity, Lockstep, StepBackend, SubStep};
-pub use manager::{NodeManager, NodeStepReport};
+pub use lockstep::{barrier_mix, Activity, Imbalance, Lockstep, ScalarNodes, StepBackend, SubStep};
+pub use manager::{idle_mix, NodeManager, NodeStepReport};
 pub use signals::Signal;

@@ -14,12 +14,16 @@
 //! the sub-step was chosen (nothing touches a node in between), and releases
 //! the barrier once every node has finished the phase.
 //!
-//! Two drivers sit on it: `pstack-runtime`'s `JobRunner`, over scalar
-//! [`NodeManager`](crate::NodeManager)s with runtime agents around it, and
-//! `powerstack-core`'s `EvalArena`, over `NodeBatch` lanes with none.
+//! Three drivers sit on it: `pstack-runtime`'s `JobRunner`, over the job's
+//! nodes loaded into `NodeBatch` lanes with runtime agents around it;
+//! `powerstack-core`'s `EvalArena`, over fresh `NodeBatch` lanes with
+//! none; and `powerstack-core`'s `simulate_app`, the agent-free reference,
+//! over the scalar nodes through [`ScalarNodes`].
 
+use crate::NodeManager;
 use pstack_apps::workload::{Phase, Workload};
 use pstack_apps::MpiModel;
+use pstack_hwmodel::{PhaseKind, PhaseMix};
 use pstack_sim::{SeedTree, SimDuration, SimTime};
 
 /// A node whose share of the current phase has at most this much work left
@@ -53,6 +57,111 @@ pub trait StepBackend {
 
     /// Step node `node` over `[t, t + dt)` doing `activity`.
     fn step(&mut self, node: usize, t: SimTime, dt: SimDuration, activity: Activity<'_>);
+}
+
+/// What a node runs while it waits at a barrier: communication-bound
+/// spinning on the job's cores.
+pub fn barrier_mix() -> PhaseMix {
+    PhaseMix::pure(PhaseKind::CommBound)
+}
+
+/// The reference backend: each node's scalar `Node` steps through its
+/// [`NodeManager`], power history included, running every core of the node
+/// while busy or waiting and idling on none. The `NodeBatch` lanes the
+/// other drivers step on are held to it bit for bit.
+pub struct ScalarNodes<'a> {
+    nodes: &'a mut [NodeManager],
+    cores: usize,
+    wait_mix: PhaseMix,
+}
+
+impl<'a> ScalarNodes<'a> {
+    /// Step `nodes`, each running as many cores as the first node has.
+    pub fn new(nodes: &'a mut [NodeManager]) -> Self {
+        let cores = nodes.first().map_or(0, |n| n.node().config().total_cores());
+        ScalarNodes {
+            nodes,
+            cores,
+            wait_mix: barrier_mix(),
+        }
+    }
+
+    /// The nodes.
+    pub fn nodes(&self) -> &[NodeManager] {
+        self.nodes
+    }
+
+    /// The nodes, mutably (for knob writes between sub-steps).
+    pub fn nodes_mut(&mut self) -> &mut [NodeManager] {
+        self.nodes
+    }
+}
+
+impl StepBackend for ScalarNodes<'_> {
+    fn work_rate(&mut self, node: usize, _index: usize, phase: &Phase) -> f64 {
+        self.nodes[node].node().work_rate(&phase.mix, self.cores)
+    }
+
+    fn step(&mut self, node: usize, t: SimTime, dt: SimDuration, activity: Activity<'_>) {
+        let n = &mut self.nodes[node];
+        match activity {
+            Activity::Busy { phase, .. } => n.step(t, dt, &phase.mix, self.cores),
+            Activity::Waiting => n.step(t, dt, &self.wait_mix, self.cores),
+            Activity::Idle => n.step_idle(t, dt),
+        };
+    }
+}
+
+/// A job's load-imbalance factors under one MPI model, seed tree and node
+/// count (see [`Lockstep::reset`]): each node's persistent factor, and each
+/// phase's transient factors, drawn on first use and kept. A driver that
+/// reruns jobs under the same seeds and node count keeps one and draws
+/// every factor once.
+#[derive(Debug, Clone)]
+pub struct Imbalance {
+    mpi: MpiModel,
+    seeds: SeedTree,
+    n_nodes: usize,
+    persistent: Vec<f64>,
+    /// Transient factors of the phases drawn so far, phase-major.
+    transient: Vec<f64>,
+}
+
+impl Imbalance {
+    /// The factors `mpi` draws under `seeds` for `n_nodes` nodes.
+    ///
+    /// # Panics
+    /// Panics if `n_nodes` is zero.
+    pub fn new(mpi: &MpiModel, seeds: &SeedTree, n_nodes: usize) -> Self {
+        assert!(n_nodes >= 1, "job needs at least one node");
+        Imbalance {
+            mpi: *mpi,
+            seeds: *seeds,
+            n_nodes,
+            persistent: mpi.persistent_factors(seeds, n_nodes),
+            transient: Vec::new(),
+        }
+    }
+
+    /// The master seed of the seed tree the factors are drawn under.
+    pub fn seed(&self) -> u64 {
+        self.seeds.master()
+    }
+
+    /// Number of nodes.
+    pub fn n_nodes(&self) -> usize {
+        self.n_nodes
+    }
+
+    /// Draw the transient factors of every phase before `phases` not drawn
+    /// yet (each phase's draw is independent of the others').
+    fn draw(&mut self, phases: usize) {
+        let n = self.n_nodes;
+        for j in self.transient.len() / n..phases {
+            let factors = self.mpi.imbalance_factors(&self.seeds, j as u64, n);
+            self.transient.extend(factors);
+        }
+    }
 }
 
 /// What one [`Lockstep::step`] did.
@@ -109,15 +218,21 @@ impl Lockstep {
     /// # Panics
     /// Panics if `n_nodes` is zero.
     pub fn reset(&mut self, workload: Workload, n_nodes: usize, mpi: &MpiModel, seeds: &SeedTree) {
-        assert!(n_nodes >= 1, "job needs at least one node");
-        let persistent = mpi.persistent_factors(seeds, n_nodes);
+        self.reset_with(workload, &mut Imbalance::new(mpi, seeds, n_nodes));
+    }
+
+    /// [`Lockstep::reset`] with the imbalance factors taken from `factors`
+    /// (drawing the phases it lacks), on its node count.
+    pub fn reset_with(&mut self, workload: Workload, factors: &mut Imbalance) {
+        let n_nodes = factors.n_nodes;
+        factors.draw(workload.len());
         self.work.clear();
         for (j, phase) in workload.phases().iter().enumerate() {
-            let transient = mpi.imbalance_factors(seeds, j as u64, n_nodes);
+            let transient = &factors.transient[j * n_nodes..(j + 1) * n_nodes];
             self.work.extend(
                 transient
                     .iter()
-                    .zip(&persistent)
+                    .zip(&factors.persistent)
                     .map(|(f, p)| phase.work * f * p),
             );
         }
@@ -139,6 +254,11 @@ impl Lockstep {
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
         self.remaining.len()
+    }
+
+    /// The job's phase list.
+    pub fn phases(&self) -> &[Phase] {
+        self.workload.phases()
     }
 
     /// Whether every phase has completed.
@@ -217,7 +337,10 @@ impl Lockstep {
         };
 
         // Choose the sub-step, keeping each busy node's rate for its advance.
-        let mut dt = cap;
+        // The microsecond ceiling is monotone, so converting the least
+        // completion time once equals the least of the conversions; a
+        // non-finite time converts to zero, so it counts as zero.
+        let mut first_done = f64::INFINITY;
         for i in 0..n {
             if self.remaining[i] <= BARRIER_EPS {
                 continue;
@@ -225,8 +348,13 @@ impl Lockstep {
             let rate = nodes.work_rate(i, self.phase, phase);
             self.rates[i] = rate;
             if rate > 0.0 {
-                dt = dt.min(SimDuration::from_secs_f64_ceil(self.remaining[i] / rate));
+                let done = self.remaining[i] / rate;
+                first_done = first_done.min(if done.is_finite() { done } else { 0.0 });
             }
+        }
+        let mut dt = cap;
+        if first_done < f64::INFINITY {
+            dt = dt.min(SimDuration::from_secs_f64_ceil(first_done));
         }
         let dt = dt.max(floor);
         let dt_s = dt.as_secs_f64();

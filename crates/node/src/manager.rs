@@ -6,7 +6,9 @@
 //! telemetry (what the RM's monitoring samples).
 
 use crate::signals::Signal;
-use pstack_hwmodel::{DutyCycle, Node, NodeConfig, NodeId, PhaseMix, StepOutput, VariationModel};
+use pstack_hwmodel::{
+    DutyCycle, Node, NodeBatch, NodeConfig, NodeId, PhaseMix, StepOutput, VariationModel,
+};
 use pstack_sim::{SeedTree, SimDuration, SimTime};
 use pstack_telemetry::{CounterKind, TimeSeries};
 
@@ -128,13 +130,19 @@ impl NodeManager {
     }
 
     fn apply_freq(&mut self) {
+        self.node.set_freq_ghz(self.requested_freq_ghz());
+    }
+
+    /// The core frequency the governor limit and the MPI override request
+    /// together — the lower of the two, top frequency if neither is set —
+    /// GHz. Each package runs the highest P-state at or below it.
+    pub fn requested_freq_ghz(&self) -> f64 {
         let top = self.node.config().package.pstates.ladder().max();
         let base = self.freq_limit_ghz.unwrap_or(top);
-        let eff = match self.freq_override_ghz {
+        match self.freq_override_ghz {
             Some(ov) => base.min(ov),
             None => base,
-        };
-        self.node.set_freq_ghz(eff);
+        }
     }
 
     /// Set a core frequency ceiling, GHz (DVFS governor request).
@@ -215,6 +223,26 @@ impl NodeManager {
         }
     }
 
+    /// Read a typed signal while the node's state is loaded into lane node
+    /// `lane` of `lanes` (see [`NodeBatch::load`]): the readings come from
+    /// the lanes, the last power reading from this manager.
+    pub fn read_loaded(&self, lanes: &NodeBatch, lane: usize, signal: Signal) -> f64 {
+        match signal {
+            Signal::NodePowerWatts => self.last_power_w,
+            Signal::NodeEnergyJoules => lanes.energy_j(lane),
+            Signal::CoreFreqGhz => lanes.effective_freq_ghz(lane),
+            Signal::MaxTemperatureC => lanes.max_temperature_c(lane),
+            Signal::InstructionsRetired => lanes.counter(lane, CounterKind::Instructions),
+            Signal::CoreCycles => lanes.counter(lane, CounterKind::Cycles),
+            Signal::FlopsRetired => lanes.counter(lane, CounterKind::Flops),
+            Signal::DramBytes => lanes.counter(lane, CounterKind::MemBytes),
+            Signal::MpiTimeUs => lanes.counter(lane, CounterKind::MpiTimeUs),
+            Signal::MpiWaitUs => lanes.counter(lane, CounterKind::MpiWaitUs),
+            Signal::Progress => lanes.counter(lane, CounterKind::Progress),
+            Signal::PowerCapWatts => lanes.power_cap_w(lane).unwrap_or(f64::NAN),
+        }
+    }
+
     /// Recorded power history (step-function series of per-step averages).
     pub fn power_history(&self) -> &TimeSeries {
         &self.power_history
@@ -244,9 +272,16 @@ impl NodeManager {
         active_cores: usize,
     ) -> NodeStepReport {
         let out = self.node.step(now, dt, mix, active_cores);
-        self.power_history.push(now, out.power_w);
-        self.last_power_w = out.power_w;
+        self.record_power(now, out.power_w);
         out.into()
+    }
+
+    /// Record a step's average power, from `now` on, as [`NodeManager::step`]
+    /// does: into the power history and the last power reading. For a
+    /// driver that steps the node's state elsewhere (its `NodeBatch` lane).
+    pub fn record_power(&mut self, now: SimTime, power_w: f64) {
+        self.power_history.push(now, power_w);
+        self.last_power_w = power_w;
     }
 
     /// Advance the node idle (no job): minimal activity, platform power only.
@@ -271,7 +306,7 @@ impl NodeManager {
 }
 
 /// What an idle node runs: I/O-bound background activity on no cores.
-fn idle_mix() -> PhaseMix {
+pub fn idle_mix() -> PhaseMix {
     PhaseMix::pure(pstack_hwmodel::PhaseKind::IoBound)
 }
 

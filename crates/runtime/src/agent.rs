@@ -7,7 +7,7 @@
 //! ownership (the §3.2.7 conflict-avoidance layer).
 
 use crate::arbiter::{AgentId, Arbiter};
-use pstack_hwmodel::{DutyCycle, PhaseMix};
+use pstack_hwmodel::{DutyCycle, NodeBatch, PhaseMix};
 use pstack_node::{NodeManager, Signal};
 use pstack_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -88,15 +88,23 @@ impl JobTelemetry {
 ///
 /// Every setter returns whether the write was applied; `false` means the
 /// arbiter rejected it because another agent owns the knob.
+///
+/// During a [`JobRunner`](crate::exec::JobRunner) drive the nodes' state
+/// sits in the runner's `NodeBatch` lanes: knob writes go to the lanes and
+/// signals are read from them. The frequency limit and MPI override stay
+/// bookkept in each [`NodeManager`], which computes the frequency the lanes
+/// then request.
 pub struct ArbitratedNodes<'a> {
     nodes: &'a mut [NodeManager],
+    /// The lanes holding the nodes' state, while a drive has them loaded.
+    lanes: Option<&'a mut NodeBatch>,
     arbiter: &'a Arbiter,
     agent: AgentId,
     now: SimTime,
 }
 
 impl<'a> ArbitratedNodes<'a> {
-    /// Build the facade for one agent (called by the runner).
+    /// Build the facade for one agent over nodes that hold their own state.
     pub fn new(
         nodes: &'a mut [NodeManager],
         arbiter: &'a Arbiter,
@@ -105,9 +113,36 @@ impl<'a> ArbitratedNodes<'a> {
     ) -> Self {
         ArbitratedNodes {
             nodes,
+            lanes: None,
             arbiter,
             agent,
             now,
+        }
+    }
+
+    /// Build the facade for one agent over nodes whose state is loaded into
+    /// `lanes`, node `i` into lane node `i` (the runner's drive).
+    pub(crate) fn over_lanes(
+        nodes: &'a mut [NodeManager],
+        lanes: &'a mut NodeBatch,
+        arbiter: &'a Arbiter,
+        agent: AgentId,
+        now: SimTime,
+    ) -> Self {
+        ArbitratedNodes {
+            nodes,
+            lanes: Some(lanes),
+            arbiter,
+            agent,
+            now,
+        }
+    }
+
+    /// After a frequency knob write on node `idx`, request its frequency on
+    /// the lanes too.
+    fn sync_freq(&mut self, idx: usize) {
+        if let Some(lanes) = &mut self.lanes {
+            lanes.set_freq_ghz(idx, self.nodes[idx].requested_freq_ghz());
         }
     }
 
@@ -123,7 +158,10 @@ impl<'a> ArbitratedNodes<'a> {
 
     /// Read a signal from node `idx` (reads are never arbitrated).
     pub fn read(&self, idx: usize, signal: Signal) -> f64 {
-        self.nodes[idx].read(signal)
+        match &self.lanes {
+            Some(lanes) => self.nodes[idx].read_loaded(lanes, idx, signal),
+            None => self.nodes[idx].read(signal),
+        }
     }
 
     /// Set a core-frequency ceiling on node `idx`.
@@ -132,6 +170,7 @@ impl<'a> ArbitratedNodes<'a> {
             return false;
         }
         self.nodes[idx].set_freq_limit_ghz(ghz);
+        self.sync_freq(idx);
         true
     }
 
@@ -141,6 +180,7 @@ impl<'a> ArbitratedNodes<'a> {
             return false;
         }
         self.nodes[idx].clear_freq_limit();
+        self.sync_freq(idx);
         true
     }
 
@@ -151,6 +191,7 @@ impl<'a> ArbitratedNodes<'a> {
             return false;
         }
         self.nodes[idx].set_freq_override_ghz(ghz);
+        self.sync_freq(idx);
         true
     }
 
@@ -160,6 +201,7 @@ impl<'a> ArbitratedNodes<'a> {
             return false;
         }
         self.nodes[idx].clear_freq_override();
+        self.sync_freq(idx);
         true
     }
 
@@ -168,7 +210,10 @@ impl<'a> ArbitratedNodes<'a> {
         if !self.arbiter.allows(self.agent, KnobKind::Uncore) {
             return false;
         }
-        self.nodes[idx].set_uncore_idx(uncore);
+        match &mut self.lanes {
+            Some(lanes) => lanes.set_uncore_idx(idx, uncore),
+            None => self.nodes[idx].set_uncore_idx(uncore),
+        }
         true
     }
 
@@ -177,7 +222,10 @@ impl<'a> ArbitratedNodes<'a> {
         if !self.arbiter.allows(self.agent, KnobKind::Duty) {
             return false;
         }
-        self.nodes[idx].set_duty(duty);
+        match &mut self.lanes {
+            Some(lanes) => lanes.set_duty(idx, duty),
+            None => self.nodes[idx].set_duty(duty),
+        }
         true
     }
 
@@ -186,7 +234,10 @@ impl<'a> ArbitratedNodes<'a> {
         if !self.arbiter.allows(self.agent, KnobKind::PowerCap) {
             return false;
         }
-        self.nodes[idx].set_power_limit(self.now, watts, window);
+        match &mut self.lanes {
+            Some(lanes) => lanes.set_power_cap(idx, self.now, watts, window),
+            None => self.nodes[idx].set_power_limit(self.now, watts, window),
+        }
         true
     }
 
@@ -195,7 +246,10 @@ impl<'a> ArbitratedNodes<'a> {
         if !self.arbiter.allows(self.agent, KnobKind::PowerCap) {
             return false;
         }
-        self.nodes[idx].clear_power_limit();
+        match &mut self.lanes {
+            Some(lanes) => lanes.clear_power_cap(idx),
+            None => self.nodes[idx].clear_power_limit(),
+        }
         true
     }
 }
@@ -230,6 +284,14 @@ pub trait RuntimeAgent: Send {
         _mix: &PhaseMix,
         _ctl: &mut ArbitratedNodes<'_>,
     ) {
+    }
+
+    /// Whether [`RuntimeAgent::on_control`] reads its telemetry argument.
+    /// An agent whose tick ignores it returns `false`, and the runner skips
+    /// refreshing the snapshot before that agent's tick (the tick itself
+    /// still fires and still ends the runner's sub-step).
+    fn reads_telemetry(&self) -> bool {
+        true
     }
 
     /// Periodic control with a fresh telemetry snapshot.

@@ -107,6 +107,11 @@ impl RuntimeAgent for Countdown {
         }
     }
 
+    /// The tick is the trait's no-op: it acts on region entries only.
+    fn reads_telemetry(&self) -> bool {
+        false
+    }
+
     fn on_job_start(&mut self, ctl: &mut ArbitratedNodes<'_>) {
         self.lowered = vec![false; ctl.n_nodes()];
     }

@@ -201,6 +201,11 @@ impl RuntimeAgent for Meric {
         vec![KnobKind::CoreFreq, KnobKind::Uncore]
     }
 
+    /// The tick is the trait's no-op: it acts on region entries only.
+    fn reads_telemetry(&self) -> bool {
+        false
+    }
+
     fn on_region_enter(
         &mut self,
         now: SimTime,

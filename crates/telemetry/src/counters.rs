@@ -112,6 +112,29 @@ impl CounterBank {
         self.counts[idx(kind)]
     }
 
+    /// Every counter's current value, in [`ALL_COUNTERS`] order.
+    pub fn values(&self) -> [f64; ALL_COUNTERS.len()] {
+        self.counts
+    }
+
+    /// A bank holding `values`, in [`ALL_COUNTERS`] order: for a stepper
+    /// that accumulates a package's counters in its own storage and hands
+    /// them back.
+    ///
+    /// # Panics
+    /// Panics on negative or non-finite values — counters count up from
+    /// zero.
+    pub fn from_values(values: [f64; ALL_COUNTERS.len()]) -> Self {
+        let valid = values
+            .iter()
+            .fold(true, |ok, &v| ok & (0.0..=f64::MAX).contains(&v));
+        assert!(
+            valid,
+            "counter values must be finite and non-negative, got {values:?}"
+        );
+        CounterBank { counts: values }
+    }
+
     /// Snapshot all counters.
     pub fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {

@@ -81,7 +81,13 @@ stage_history() {
 }
 
 stage_fleet() {
-    echo "== fleet-scale event engine (equivalence grid + 4k-node/50k-job ladder) =="
+    echo "== fleet-scale event engine (lane suites + equivalence grid + 4k-node/50k-job ladder) =="
+    # Running jobs step on NodeBatch lanes; these hold the lanes to the
+    # scalar node path: fleet nodes under every knob, a load/store round
+    # trip, and whole jobs under every shipped agent.
+    cargo test -q -p pstack-hwmodel --test batch_equivalence fleet_lanes
+    cargo test -q -p pstack-hwmodel --lib load_then_store_leaves_nodes_unchanged
+    cargo test -q -p pstack-runtime --lib lanes_match_the_scalar_reference_under_every_agent
     cargo test -q -p pstack-rm --test event_equivalence
     local out
     out=$(stage_results_dir fleet)
@@ -139,6 +145,7 @@ stage_perfbench() {
         perfbench_smoke --workload "$w" --seed 1 --seconds 1 --trace 0
     done
     perfbench_smoke --workload fleet_loaded --seed 1 --seconds 1 --trace 1
+    perfbench_smoke --workload fleet_sparse --seed 1 --seconds 1 --trace 1
 }
 
 stage_clippy() {
