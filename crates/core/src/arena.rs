@@ -29,6 +29,13 @@
 //!   mixture on no cores as `NodeManager::step_idle`. The arena fills its
 //!   lanes with [`NodeBatch::reset`], so they keep no counters or package
 //!   energy: an evaluation reads neither.
+//! - the RAPL controllers: the kernel steps every node once per sub-step,
+//!   so the arena closes each sub-step ([`NodeBatch::close_substep`])
+//!   right after [`Lockstep::step`] returns. The close averages every
+//!   capped lane's power over its window from the batch's shared timeline
+//!   and runs its controller, bit for bit what each scalar package's
+//!   window and controller do at the end of its step; the kernel reads the
+//!   next sub-step's work rates only after it.
 //!
 //! ## Tick coarsening
 //!
@@ -46,7 +53,8 @@
 //!   a settle window after every re-plan event — eval start, phase boundary,
 //!   throttle flip — giving the RAPL controller its full convergence
 //!   transient, then coarsen with the controller *held*
-//!   ([`NodeBatch::step_held`]): the allowed P-state only moves on an
+//!   ([`NodeBatch::step_held`], acting at the sub-step's close like the
+//!   live one): the allowed P-state only moves on an
 //!   emergency descent (which is the controller's full response to the slow
 //!   leakage drift, so holding continues through it). Holding suppresses the
 //!   controller's periodic one-tick probe excursions (≈ 1 in 21 fine ticks),
@@ -121,7 +129,7 @@ impl StepBackend for BatchNodes {
             // full response — stay coarse at the new (lower) P-state rather
             // than re-settling, which would let the suppressed climb/probe
             // cycle restart.
-            self.batch.step_held(node, t, dt, mix_id, active).0
+            self.batch.step_held(node, t, dt, mix_id, active)
         } else {
             self.batch.step(node, t, dt, mix_id, active)
         };
@@ -303,6 +311,8 @@ impl EvalArena {
                 let step = self
                     .lockstep
                     .step(t, horizon.since(t).min(ceiling), &mut self.nodes);
+                // Every node has stepped: the capped lanes' controllers act.
+                self.nodes.batch.close_substep();
                 t += step.dt;
                 // A phase boundary (mixes change) or a throttle flip is a
                 // control event: re-enter fine stepping for a settle window.
@@ -382,13 +392,40 @@ mod tests {
         let space = ct.space();
         let mut arena = EvalArena::new();
         // Multi-node evals exercise MPI imbalance factors and barriers.
-        for cfg in space.enumerate().step_by(131).take(8) {
+        // Every node count × cap level, each on a non-AMG solver: their
+        // short iterations put the most sub-steps into a RAPL window, so
+        // the capped lanes' shared timeline holds its longest windows.
+        // The k-th pair takes its k-th non-AMG configuration (mod 9), so
+        // the pairs cycle through the solver × preconditioner choices.
+        let mut pairs: Vec<(usize, Option<u64>, usize)> = Vec::new();
+        for cfg in space.enumerate() {
+            if space.value(&cfg, "precond").as_str() == "boomeramg" {
+                continue;
+            }
             let (hc, n_nodes, cap) = ct.decode(&space, &cfg);
+            let key = (n_nodes, cap.map(f64::to_bits));
+            let k = match pairs.iter().position(|p| (p.0, p.1) == key) {
+                Some(k) => k,
+                None => {
+                    pairs.push((key.0, key.1, 0));
+                    pairs.len() - 1
+                }
+            };
+            let seen = pairs[k].2;
+            pairs[k].2 += 1;
+            if seen != k % 9 {
+                continue;
+            }
             let app = HypreApp::new(hc, ct.problem);
             let scalar = simulate_app(&app, n_nodes, cap, ct.seed);
             let fast = arena.evaluate(&app, n_nodes, cap, ct.seed);
-            assert_triple_bits(scalar, fast, "hypre");
+            assert_triple_bits(
+                scalar,
+                fast,
+                &format!("hypre {hc:?} on {n_nodes} under {cap:?}"),
+            );
         }
+        assert_eq!(pairs.len(), 12, "every node count × cap level");
     }
 
     #[test]

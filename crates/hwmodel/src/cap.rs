@@ -41,12 +41,6 @@ impl RaplWindow {
         self.window
     }
 
-    /// Forget all recorded steps, keeping the allocation. After a reset the
-    /// window behaves exactly like a freshly constructed one.
-    pub fn reset(&mut self) {
-        self.steps.clear();
-    }
-
     /// Record that power changed to `power_w` at time `now`.
     pub fn record(&mut self, now: SimTime, power_w: f64) {
         assert!(power_w >= 0.0, "power must be non-negative");

@@ -108,6 +108,7 @@ fn check_equivalence(initial_cap: Option<f64>, script: Vec<Action>) {
                 );
                 let s = node.step(t, dt, &mix, active);
                 let b = batch.step(0, t, dt, mix_id, active);
+                batch.close_substep();
                 assert_eq!(
                     s.power_w.to_bits(),
                     b.power_w.to_bits(),
@@ -219,6 +220,7 @@ fn throttle_hysteresis_crossing_matches() {
     for i in 0..2000 {
         let s = node.step(t, dt, &mix, 48);
         let b = batch.step(0, t, dt, mix_id, 48);
+        batch.close_substep();
         assert_eq!(s.throttled, b.throttled, "latch diverged at heat step {i}");
         assert_eq!(s.power_w.to_bits(), b.power_w.to_bits());
         assert_eq!(s.work.to_bits(), b.work.to_bits());
@@ -234,6 +236,7 @@ fn throttle_hysteresis_crossing_matches() {
     for i in 0..2000 {
         let s = node.step(t, dt, &idle, 0);
         let b = batch.step(0, t, dt, idle_id, 0);
+        batch.close_substep();
         assert_eq!(s.throttled, b.throttled, "latch diverged at cool step {i}");
         assert_eq!(s.power_w.to_bits(), b.power_w.to_bits());
         released |= !s.throttled;
@@ -485,4 +488,273 @@ fn fleet_lanes_follow_a_throttle_cycle_under_knobs() {
         !throttled[throttled.len() - 3..].iter().any(|&t| t),
         "and release"
     );
+}
+
+/// The nodes of a lockstep script.
+const LOCKSTEP_NODES: usize = 3;
+
+/// One action of a lockstep script over [`LOCKSTEP_NODES`] reset lanes.
+#[derive(Debug, Clone)]
+enum SubStepAction {
+    /// `count` sub-steps of `dt_us` each, node `i` running `mixes[i]` on
+    /// `active` cores, with the cap controllers live or held.
+    Burst {
+        count: usize,
+        dt_us: u64,
+        held: bool,
+        mixes: [PhaseMix; LOCKSTEP_NODES],
+        active: usize,
+    },
+    /// Set a node power cap (watts) over a window (ms): a new cap, or a
+    /// retarget of one with the same window.
+    Cap(usize, f64, u64),
+    /// Clear a node's power cap.
+    ClearCap(usize),
+}
+
+/// Lockstep scripts: mostly bursts whose sub-steps run from 1 µs to
+/// 250 ms (log-uniform), so a 10 ms window holds from one to hundreds of
+/// recorded steps, with caps set, retargeted and cleared between them.
+struct SubStepStrategy;
+
+impl Strategy for SubStepStrategy {
+    type Value = SubStepAction;
+
+    fn generate(&self, rng: &mut proptest::TestRng) -> SubStepAction {
+        use rand::Rng;
+        let node = rng.gen_range(0..LOCKSTEP_NODES);
+        match rng.gen_range(0u32..10) {
+            0 | 1 => SubStepAction::Cap(
+                node,
+                rng.gen_range(100.0f64..440.0),
+                [10u64, 10, 10, 1, 100][rng.gen_range(0usize..5)],
+            ),
+            2 => SubStepAction::ClearCap(node),
+            _ => {
+                let mut mix = || random_step(rng).0;
+                let mixes = [mix(), mix(), mix()];
+                SubStepAction::Burst {
+                    count: rng.gen_range(1usize..48),
+                    dt_us: 10f64.powf(rng.gen_range(0.0f64..5.4)).round().max(1.0) as u64,
+                    held: rng.gen_bool(0.5),
+                    mixes,
+                    active: [1usize, 24, 30, 48][rng.gen_range(0usize..4)],
+                }
+            }
+        }
+    }
+}
+
+/// Run a lockstep script on reset lanes, closing every sub-step, and
+/// compare after every sub-step against the per-step controllers: loaded
+/// lanes of nominal nodes (each capped lane its own `RaplWindow`, acting
+/// at each step, held with `step_held`) always, and scalar nodes while no
+/// sub-step has been held. Every step output, node energy, temperature,
+/// throttle latch and each package's effective P-state (its allowed
+/// P-state: the script never lowers the requested one) must agree bit for
+/// bit. Returns the most sub-step starts any 10 ms window ending at a
+/// sub-step's end held.
+fn check_lockstep(initial_cap: Option<f64>, script: &[SubStepAction]) -> usize {
+    let cfg = NodeConfig::server_default();
+    let window = SimDuration::from_millis(10);
+    let nominal = || -> Vec<Node> {
+        (0..LOCKSTEP_NODES)
+            .map(|i| Node::nominal(NodeId(i), cfg.clone()))
+            .collect()
+    };
+    let mut scalar = nominal();
+    let mut parked = nominal();
+    let mut loaded = NodeBatch::new(cfg.clone());
+    let mut reset = NodeBatch::new(cfg.clone());
+    reset.reset(LOCKSTEP_NODES, initial_cap, window);
+    if let Some(cap) = initial_cap {
+        for node in scalar.iter_mut().chain(parked.iter_mut()) {
+            node.set_power_cap(SimTime::ZERO, cap, window);
+        }
+    }
+    loaded.load(parked.iter_mut());
+    let mut live_only = true;
+    let mut starts: Vec<SimTime> = Vec::new();
+    let mut most_in_window = 0;
+    let mut t = SimTime::ZERO;
+    for (k, action) in script.iter().enumerate() {
+        match action {
+            SubStepAction::Burst {
+                count,
+                dt_us,
+                held,
+                mixes,
+                active,
+            } => {
+                let dt = SimDuration::from_micros(*dt_us);
+                live_only &= !held;
+                let ids: Vec<usize> = mixes.iter().map(|m| reset.register_mix(m)).collect();
+                for m in mixes {
+                    loaded.register_mix(m);
+                }
+                for j in 0..*count {
+                    let mut outs = Vec::new();
+                    for (i, id) in ids.iter().enumerate() {
+                        let (r, l) = if *held {
+                            (
+                                reset.step_held(i, t, dt, *id, *active),
+                                loaded.step_held(i, t, dt, *id, *active),
+                            )
+                        } else {
+                            (
+                                reset.step(i, t, dt, *id, *active),
+                                loaded.step(i, t, dt, *id, *active),
+                            )
+                        };
+                        let s = live_only.then(|| scalar[i].step(t, dt, &mixes[i], *active));
+                        outs.push((r, l, s));
+                    }
+                    reset.close_substep();
+                    starts.push(t);
+                    t += dt;
+                    let from = SimTime(t.0.saturating_sub(window.0));
+                    most_in_window =
+                        most_in_window.max(starts.iter().filter(|&&s| s >= from).count());
+                    let at = format!("action {k} sub-step {j}");
+                    for (i, (r, l, s)) in outs.into_iter().enumerate() {
+                        let out = |o: pstack_hwmodel::StepOutput| {
+                            (
+                                [o.work, o.power_w, o.effective_freq_ghz].map(f64::to_bits),
+                                o.throttled,
+                            )
+                        };
+                        let state = |b: &NodeBatch| {
+                            (
+                                b.energy_j(i).to_bits(),
+                                b.max_temperature_c(i).to_bits(),
+                                [b.package_pstate(i, 0), b.package_pstate(i, 1)],
+                            )
+                        };
+                        assert_eq!(out(r), out(l), "output vs loaded lanes, {at} node {i}");
+                        assert_eq!(
+                            state(&reset),
+                            state(&loaded),
+                            "state vs loaded lanes, {at} node {i}"
+                        );
+                        if let Some(s) = s {
+                            let node = &scalar[i];
+                            let p = node.packages();
+                            assert_eq!(out(r), out(s), "output vs scalar node, {at} node {i}");
+                            assert_eq!(
+                                state(&reset),
+                                (
+                                    node.energy_j().to_bits(),
+                                    node.max_temperature_c().to_bits(),
+                                    [p[0].effective_pstate(), p[1].effective_pstate()],
+                                ),
+                                "state vs scalar node, {at} node {i}"
+                            );
+                        }
+                    }
+                }
+            }
+            SubStepAction::Cap(i, cap_w, window_ms) => {
+                let w = SimDuration::from_millis(*window_ms);
+                reset.set_power_cap(*i, t, *cap_w, w);
+                loaded.set_power_cap(*i, t, *cap_w, w);
+                scalar[*i].set_power_cap(t, *cap_w, w);
+            }
+            SubStepAction::ClearCap(i) => {
+                reset.clear_power_cap(*i);
+                loaded.clear_power_cap(*i);
+                scalar[*i].clear_power_cap();
+            }
+        }
+        for (i, node) in scalar.iter().enumerate() {
+            assert_eq!(
+                reset.power_cap_w(i).map(f64::to_bits),
+                node.power_cap_w().map(f64::to_bits),
+                "cap, action {k} node {i}"
+            );
+        }
+    }
+    most_in_window
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Reset lanes stepped in lockstep and closed per sub-step match the
+    /// per-step controllers through random sub-step lengths, live and held
+    /// controllers, and caps set, retargeted and cleared on single nodes.
+    #[test]
+    fn lockstep_lanes_match_per_step_controllers(
+        capped in 0u32..2,
+        cap in 150.0f64..440.0,
+        script in prop::collection::vec(SubStepStrategy, 1..24),
+    ) {
+        check_lockstep((capped == 1).then_some(cap), &script);
+    }
+}
+
+/// A deterministic lockstep script whose windows run from one recorded
+/// step (250 ms sub-steps) to hundreds (1–100 µs ones), under live and
+/// held controllers, with caps on different nodes set, retargeted, moved
+/// to another window and cleared at sub-step boundaries.
+#[test]
+fn lockstep_lanes_hold_windows_of_every_depth() {
+    let compute = PhaseMix::pure(PhaseKind::ComputeBound);
+    let memory = PhaseMix::pure(PhaseKind::MemoryBound);
+    let mixed = PhaseMix::new(0.5, 0.3, 0.2, 0.0);
+    let burst = |count, dt_us, held| SubStepAction::Burst {
+        count,
+        dt_us,
+        held,
+        mixes: [compute.clone(), memory.clone(), mixed.clone()],
+        active: 48,
+    };
+    let mut script = Vec::new();
+    for held in [false, true] {
+        script.extend([
+            burst(40, 250_000, held),
+            burst(30, 1, held),
+            burst(200, 50, held),
+            SubStepAction::Cap(1, 260.0, 10),
+            burst(25, 700, held),
+            burst(12, 9_000, held),
+            SubStepAction::Cap(0, 240.0, 10),
+            SubStepAction::ClearCap(2),
+            burst(60, 333, held),
+            SubStepAction::Cap(2, 300.0, 100),
+            burst(40, 2_500, held),
+            SubStepAction::Cap(0, 280.0, 1),
+            burst(80, 150, held),
+            burst(20, 250_000, held),
+        ]);
+    }
+    let most = check_lockstep(Some(320.0), &script);
+    assert!(
+        most > 16,
+        "windows must hold more than 16 steps (held {most})"
+    );
+}
+
+/// Reset lanes reject steps that break lockstep.
+#[test]
+#[should_panic(expected = "lockstep")]
+fn reset_lanes_reject_a_step_at_another_instant() {
+    let mut batch = NodeBatch::new(NodeConfig::server_default());
+    batch.reset(2, Some(300.0), SimDuration::from_millis(10));
+    let mix = batch.register_mix(&PhaseMix::pure(PhaseKind::ComputeBound));
+    let dt = SimDuration::from_millis(1);
+    batch.step(0, SimTime::ZERO, dt, mix, 48);
+    batch.step(1, SimTime::ZERO, dt, mix, 48);
+    batch.close_substep();
+    batch.step(0, SimTime::ZERO + dt + dt, dt, mix, 48);
+}
+
+/// A sub-step closes only once every node has stepped in it.
+#[test]
+#[should_panic(expected = "every node steps")]
+fn closing_before_every_node_stepped_panics() {
+    let mut batch = NodeBatch::new(NodeConfig::server_default());
+    batch.reset(2, None, SimDuration::from_millis(10));
+    let mix = batch.register_mix(&PhaseMix::pure(PhaseKind::ComputeBound));
+    batch.step(0, SimTime::ZERO, SimDuration::from_millis(1), mix, 48);
+    batch.close_substep();
 }

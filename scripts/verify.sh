@@ -54,6 +54,11 @@ stage_resume() {
 
 stage_perf() {
     echo "== eval-throughput acceptance (batched fast path >= 10x, bit-identical) =="
+    # The fast path's lanes against the scalar oracle first, in the release
+    # build the gate measures: the arena's triples and the batch's lanes
+    # (reset lanes on the shared RAPL timeline included).
+    cargo test -q --release -p powerstack-core --lib arena
+    cargo test -q --release -p pstack-hwmodel --test batch_equivalence
     local out
     out=$(stage_results_dir perf)
     POWERSTACK_RESULTS_DIR="$out" cargo run -q --release -p pstack-bench --bin regenerate_all -- bench_evalthroughput
@@ -146,6 +151,7 @@ stage_perfbench() {
     done
     perfbench_smoke --workload fleet_loaded --seed 1 --seconds 1 --trace 1
     perfbench_smoke --workload fleet_sparse --seed 1 --seconds 1 --trace 1
+    perfbench_smoke --workload tune_fastpath --seed 1 --seconds 1 --trace 1
 }
 
 stage_clippy() {
